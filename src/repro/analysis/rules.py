@@ -611,6 +611,10 @@ HOT_PATH_MODULES = (
     "netsim/link.py",
     "util/ranges.py",
     "util/reassembly.py",
+    "tcp/flow.py",
+    "tcp/segment.py",
+    "mptcp/connection.py",
+    "mptcp/scheduler.py",
 )
 
 

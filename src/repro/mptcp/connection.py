@@ -29,6 +29,7 @@ from repro.mptcp.scheduler import SubflowScheduler, make_subflow_scheduler
 from repro.netsim.engine import Simulator
 from repro.netsim.node import Datagram, Host
 from repro.netsim.trace import PacketTrace
+from repro.obs import metrics as _metrics
 from repro.quic.flowcontrol import ReceiveWindow
 from repro.tcp.config import TcpConfig, TLS_MESSAGE_SIZES
 from repro.tcp.flow import FlowOwner, TcpFlow
@@ -43,10 +44,14 @@ class _Mapping:
     def __init__(self) -> None:
         self.starts: List[int] = []  # subflow seq of each chunk
         self.entries: List[Tuple[int, int, int]] = []  # (sf_start, dsn, length)
+        #: Every DSN byte ever bound here (reinjections included), so
+        #: "did this subflow ever hold byte d?" is one bisect.
+        self.dsn_bound = RangeSet()
 
     def add(self, sf_start: int, dsn: int, length: int) -> None:
         self.starts.append(sf_start)
         self.entries.append((sf_start, dsn, length))
+        self.dsn_bound.add(dsn, dsn + length)
 
     def lookup(self, seq: int) -> Optional[Tuple[int, int, int]]:
         """Mapping entry covering subflow sequence ``seq``."""
@@ -216,8 +221,9 @@ class MptcpConnection(FlowOwner):
 
     def _push_data(self) -> None:
         """Bind pending data to subflows, reinjections first."""
+        subflows = self.subflows.values()
         while True:
-            flow = self.scheduler.select(list(self.subflows.values()))
+            flow = self.scheduler.select(subflows)
             if flow is None:
                 return
             if self._reinject:
@@ -260,7 +266,7 @@ class MptcpConnection(FlowOwner):
         """
         mapping = self._mappings[flow.interface_index]
         mapping.add(flow.buffered_end_seq, dsn_start, dsn_stop - dsn_start)
-        flow.write(bytes(self._dsn_buf[dsn_start:dsn_stop]))
+        flow.write(self._dsn_buf[dsn_start:dsn_stop])
 
     def _maybe_orp(self, free_flow: TcpFlow, window_blocked: bool = True) -> None:
         """Opportunistic Retransmission and Penalisation [Raiciu12].
@@ -308,13 +314,14 @@ class MptcpConnection(FlowOwner):
             cc.cwnd_bytes = max(cc.cwnd_bytes / 2.0, 2 * self.config.mss)
 
     def _holder_of(self, dsn: int) -> Optional[TcpFlow]:
-        """Most recent subflow a DSN byte was bound to."""
+        """The subflow ORP penalises for DSN byte ``dsn``: of the
+        subflows that were *ever* bound that byte, the last in
+        interface order — not the most recent binding (see
+        docs/protocol_notes.md, "ORP holder")."""
         best: Optional[TcpFlow] = None
         for iface, mapping in self._mappings.items():
-            for _sf_start, m_dsn, length in reversed(mapping.entries):
-                if m_dsn <= dsn < m_dsn + length:
-                    best = self.subflows[iface]
-                    break
+            if dsn in mapping.dsn_bound:
+                best = self.subflows[iface]
         return best
 
     # ------------------------------------------------------------------
@@ -476,7 +483,17 @@ class MptcpConnection(FlowOwner):
     def _datagram_received(self, datagram: Datagram, interface_index: int) -> None:
         segment: Segment = datagram.payload
         flow = self.subflows.get(interface_index)
-        if flow is not None:
+        if flow is None:
+            return
+        if _metrics.METRICS:
+            # Re-scope wall time from the delivering link to `mptcp`, as
+            # QuicConnection.datagram_received does for `quic`.
+            _metrics.REGISTRY.enter("mptcp")
+            try:
+                flow.segment_received(segment)
+            finally:
+                _metrics.REGISTRY.exit()
+        else:
             flow.segment_received(segment)
 
     def close_timers(self) -> None:

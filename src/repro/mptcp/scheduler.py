@@ -9,7 +9,7 @@ paper observes causing head-of-line blocking (§4.1).
 
 from __future__ import annotations
 
-from typing import List, Optional, TYPE_CHECKING
+from typing import Collection, List, Optional, Tuple, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.tcp.flow import TcpFlow
@@ -20,11 +20,11 @@ class SubflowScheduler:
 
     name = "abstract"
 
-    def select(self, subflows: List["TcpFlow"]) -> Optional["TcpFlow"]:
+    def select(self, subflows: Collection["TcpFlow"]) -> Optional["TcpFlow"]:
         raise NotImplementedError
 
     @staticmethod
-    def usable(subflows: List["TcpFlow"]) -> List["TcpFlow"]:
+    def usable(subflows: Collection["TcpFlow"]) -> List["TcpFlow"]:
         """Established subflows with cwnd room, skipping potentially
         failed ones unless every subflow is in that state."""
         ready = [f for f in subflows if f.established and f.can_take_data()]
@@ -37,14 +37,25 @@ class LowestRttSubflowScheduler(SubflowScheduler):
 
     name = "lowest_rtt"
 
-    def select(self, subflows: List["TcpFlow"]) -> Optional["TcpFlow"]:
-        candidates = self.usable(subflows)
-        if not candidates:
-            return None
-        with_rtt = [f for f in candidates if f.rtt.has_sample]
-        if with_rtt:
-            return min(with_rtt, key=lambda f: (f.rtt.smoothed, f.interface_index))
-        return candidates[0]
+    def select(self, subflows: Collection["TcpFlow"]) -> Optional["TcpFlow"]:
+        # One pass, ranking as `usable()` + min-by-RTT would: healthy
+        # before potentially failed, RTT-sampled before unsampled, then
+        # lowest (srtt, interface); unsampled subflows all rank equal,
+        # so the first in order wins.
+        best: Optional["TcpFlow"] = None
+        best_rank: Tuple[bool, bool, float, int] = (True, True, 0.0, 0)
+        for flow in subflows:
+            if not flow.can_take_data():
+                continue
+            rtt = flow.rtt
+            if rtt.has_sample:
+                rank = (flow.potentially_failed, False, rtt.smoothed,
+                        flow.interface_index)
+            else:
+                rank = (flow.potentially_failed, True, 0.0, 0)
+            if best is None or rank < best_rank:
+                best, best_rank = flow, rank
+        return best
 
 
 class RoundRobinSubflowScheduler(SubflowScheduler):
@@ -55,7 +66,7 @@ class RoundRobinSubflowScheduler(SubflowScheduler):
     def __init__(self) -> None:
         self._last = -1
 
-    def select(self, subflows: List["TcpFlow"]) -> Optional["TcpFlow"]:
+    def select(self, subflows: Collection["TcpFlow"]) -> Optional["TcpFlow"]:
         candidates = sorted(self.usable(subflows), key=lambda f: f.interface_index)
         if not candidates:
             return None
@@ -80,7 +91,7 @@ class BackupSubflowScheduler(SubflowScheduler):
     def __init__(self, primary_interface: int = 0) -> None:
         self.primary_interface = primary_interface
 
-    def select(self, subflows: List["TcpFlow"]) -> Optional["TcpFlow"]:
+    def select(self, subflows: Collection["TcpFlow"]) -> Optional["TcpFlow"]:
         primary = next(
             (
                 f for f in subflows

@@ -16,6 +16,7 @@ from repro.cc import make_controller
 from repro.netsim.engine import Simulator
 from repro.netsim.node import Datagram, Host
 from repro.netsim.trace import PacketTrace
+from repro.obs import metrics as _metrics
 from repro.quic.flowcontrol import ReceiveWindow
 from repro.tcp.config import TcpConfig, TLS13_MESSAGE_SIZES, TLS_MESSAGE_SIZES
 from repro.tcp.flow import FlowOwner, TcpFlow
@@ -228,7 +229,16 @@ class TcpConnection(FlowOwner):
         segment: Segment = datagram.payload
         if interface_index != self.flow.interface_index:
             return  # single-path TCP ignores other interfaces
-        self.flow.segment_received(segment)
+        if _metrics.METRICS:
+            # Re-scope wall time from the delivering link to `tcp`, as
+            # QuicConnection.datagram_received does for `quic`.
+            _metrics.REGISTRY.enter("tcp")
+            try:
+                self.flow.segment_received(segment)
+            finally:
+                _metrics.REGISTRY.exit()
+        else:
+            self.flow.segment_received(segment)
 
     def close_timers(self) -> None:
         self.flow.close_timers()

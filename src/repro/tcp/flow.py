@@ -112,6 +112,10 @@ class TcpFlow:
         self.name = name
 
         self.state = FlowState.LISTEN if role == "server" else FlowState.CLOSED
+        #: When the client's latest SYN left, and the TFO payload it
+        #: carried (repeated on a SYN retransmission).
+        self._syn_time = 0.0
+        self._syn_data = b""
         # Karn mode: no ack-delay correction, no samples from rexmits.
         self.rtt = RttEstimator(use_ack_delay=False)
 
@@ -216,17 +220,16 @@ class TcpFlow:
     def bytes_outstanding(self) -> int:
         """Pipe estimate (RFC 6675-lite): sent and un-SACKed bytes,
         excluding loss-marked holes not yet retransmitted."""
-        return max(
-            0,
-            (self.snd_nxt - self.snd_una)
-            - self._sacked.total
-            - self._retx_queue.total,
+        pipe = (
+            self.snd_nxt - self.snd_una
+            - self._sacked.total - self._retx_queue.total
         )
+        return pipe if pipe > 0 else 0
 
     def can_take_data(self) -> bool:
         """Congestion-window room for one more segment (scheduling)."""
         return (
-            self.established
+            self.state is FlowState.ESTABLISHED
             and self.bytes_outstanding + self.config.mss <= self.cc.cwnd_bytes
         )
 
@@ -313,11 +316,12 @@ class TcpFlow:
             if self._rtt_probe is not None and start < self._rtt_probe[0]:
                 self._rtt_probe = None  # Karn: never time retransmitted data
         else:
-            if seg.end_seq > self.snd_nxt:
-                self.snd_nxt = seg.end_seq
+            end_seq = seg.end_seq
+            if end_seq > self.snd_nxt:
+                self.snd_nxt = end_seq
             if self._rtt_probe is None:
-                self._rtt_probe = (seg.end_seq, self.sim.now)
-            self._ts_times.append((seg.end_seq, self.sim.now))
+                self._rtt_probe = (end_seq, self.sim.now)
+            self._ts_times.append((end_seq, self.sim.now))
         self._emit(seg)
         self._arm_rto()
         if not retransmission:
@@ -372,7 +376,7 @@ class TcpFlow:
         if self.state is FlowState.SYN_SENT and segment.syn and segment.ack >= 1:
             self.state = FlowState.ESTABLISHED
             self.snd_una = max(self.SEQ_BASE, segment.ack)
-            self.rtt.update(now - self._syn_time if hasattr(self, "_syn_time") else 0.0)
+            self.rtt.update(now - self._syn_time)
             self.peer_window_edge = max(self.peer_window_edge, segment.window_edge)
             self._emit(Segment(seq=self.snd_nxt, ack=self._rcv_nxt(),
                                window_edge=self._window_edge()))
@@ -423,8 +427,7 @@ class TcpFlow:
             if not self.mapped_delivery and self._rcv_nxt() >= self._fin_received_seq:
                 self.owner.flow_delivered(self, b"", True)
         self._unacked_segments += 1
-        out_of_order = bool(self.reassembler.pending_ranges(limit=1))
-        if self._unacked_segments >= 2 or out_of_order:
+        if self._unacked_segments >= 2 or self.reassembler.has_pending():
             self.send_ack()
         elif self._ack_timer is None or self._ack_timer.cancelled:
             self._ack_timer = self.sim.schedule(
@@ -446,9 +449,9 @@ class TcpFlow:
         The 2-3 block limit (option space) is the key disadvantage
         versus QUIC's 256 ACK ranges under bursty random loss (§4.1).
         """
-        pending = self.reassembler.pending_ranges()
-        if not pending:
+        if not self.reassembler.has_pending():
             return ()
+        pending = self.reassembler.pending_ranges()
         blocks: List[Tuple[int, int]] = []
         if self._last_block_received is not None:
             for start, stop in pending:
@@ -562,7 +565,6 @@ class TcpFlow:
         """
         if not self._sacked:
             return
-        highest_sacked = self._sacked.max + 1
         threshold = self.config.dupack_threshold * self.config.mss
         at_tail = self.snd_nxt >= self.buffered_end_seq or (
             self.enforce_flow_window and self.snd_nxt >= self.peer_window_edge
@@ -576,29 +578,23 @@ class TcpFlow:
         )
         if at_tail and outstanding_segments < 4:
             threshold = max(1, outstanding_segments - 1) * self.config.mss
-        cursor = self.snd_una
+        # Every SACKed range lies at or above snd_una, so the SACKed
+        # bytes above the hole below a range are a suffix sum: the
+        # total, less the ranges already passed.  It only shrinks going
+        # up, so the walk stops at the first hole under the threshold.
+        sacked_above = self._sacked.total
+        gap_start = self.snd_una
         marked_any = False
-        while cursor < highest_sacked:
-            gap_start = self._sacked.first_gap_after(cursor)
-            if gap_start >= highest_sacked:
+        for s_start, s_stop in self._sacked:
+            if sacked_above < threshold:
                 break
-            gap_end = highest_sacked
-            for s_start, _s_stop in self._sacked:
-                if s_start > gap_start:
-                    gap_end = min(gap_end, s_start)
-                    break
-            sacked_above = sum(
-                stop - max(start, gap_end)
-                for start, stop in self._sacked
-                if stop > gap_end
-            )
-            if sacked_above >= threshold and not self._retx_marked.contains_range(
-                gap_start, gap_end
-            ):
-                self._retx_queue.add(gap_start, gap_end)
-                self._retx_marked.add(gap_start, gap_end)
+            # (An empty hole, a range starting at snd_una, counts as marked.)
+            if not self._retx_marked.contains_range(gap_start, s_start):
+                self._retx_queue.add(gap_start, s_start)
+                self._retx_marked.add(gap_start, s_start)
                 marked_any = True
-            cursor = gap_end
+            sacked_above -= s_stop - s_start
+            gap_start = s_stop
         if marked_any:
             self.fast_retransmits += 1
             if not self.in_recovery:
@@ -682,7 +678,7 @@ class TcpFlow:
             self.rto_count += 1
             self._emit(
                 Segment(seq=0, ack=0, syn=True,
-                        data=getattr(self, "_syn_data", b""),
+                        data=self._syn_data,
                         window_edge=self._window_edge())
             )
             self._arm_rto()
@@ -721,20 +717,19 @@ class TcpFlow:
     # ------------------------------------------------------------------
 
     def _emit(self, segment: Segment) -> None:
+        now = self.sim.now
+        size = segment.wire_size
         if segment.syn and self.role == "client":
-            self._syn_time = self.sim.now
+            self._syn_time = now
         self.segments_sent += 1
-        self.bytes_sent += segment.wire_size
-        self.last_send_time = self.sim.now
+        self.bytes_sent += size
+        self.last_send_time = now
         if self.trace is not None:
             self.trace.log(
-                self.sim.now, self.host.name, "tcp-send", self.interface_index,
-                segment.seq, segment.wire_size,
+                now, self.host.name, "tcp-send", self.interface_index,
+                segment.seq, size,
             )
-        self.host.send(
-            Datagram(payload=segment, size=segment.wire_size),
-            self.interface_index,
-        )
+        self.host.send(Datagram(segment, size), self.interface_index)
 
     def close_timers(self) -> None:
         """Cancel outstanding timers (teardown)."""

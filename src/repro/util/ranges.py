@@ -16,13 +16,17 @@ class RangeSet:
 
     The representation is a flat sorted list ``[s0, e0, s1, e1, ...]``
     with ``s0 < e0 < s1 < e1 < ...`` which keeps membership tests and
-    insertions logarithmic-plus-shift.
+    insertions logarithmic-plus-shift.  ``total``, the number of
+    integers covered, is a plain attribute kept current by every
+    mutation (read-only for callers): the TCP pipe estimate reads it
+    several times per segment.
     """
 
-    __slots__ = ("_bounds",)
+    __slots__ = ("_bounds", "total")
 
     def __init__(self, ranges: Iterable[Tuple[int, int]] = ()) -> None:
         self._bounds: List[int] = []
+        self.total = 0
         for start, stop in ranges:
             self.add(start, stop)
 
@@ -38,13 +42,16 @@ class RangeSet:
             if start > last:  # disjoint new range at the end
                 b.append(start)
                 b.append(stop)
+                self.total += stop - start
                 return
             if start == last:  # touches the last range: extend it
                 b[-1] = stop
+                self.total += stop - start
                 return
         else:
             b.append(start)
             b.append(stop)
+            self.total = stop - start
             return
         # Index of first bound > start and >= stop respectively.
         lo = bisect.bisect_right(b, start)
@@ -67,6 +74,10 @@ class RangeSet:
         if right + 1 < len(b) and b[right] == new_stop:
             new_stop = b[right + 1]
             right += 2
+        grown = new_stop - new_start
+        for i in range(left, right, 2):  # less the ranges swallowed
+            grown -= b[i + 1] - b[i]
+        self.total += grown
         b[left:right] = [new_start, new_stop]
 
     def add_value(self, value: int) -> None:
@@ -75,21 +86,28 @@ class RangeSet:
 
     def remove(self, start: int, stop: int) -> None:
         """Remove ``[start, stop)`` from the set."""
-        if stop <= start:
-            return
         b = self._bounds
+        if stop <= start or not b:
+            return
         lo = bisect.bisect_right(b, start)
         hi = bisect.bisect_left(b, stop)
         insert: List[int] = []
+        delta = 0  # change in `total`: parts kept less ranges cut
         if lo % 2 == 1:  # start falls inside a range: keep its left part
             if b[lo - 1] < start:
                 insert.extend((b[lo - 1], start))
+                delta = start - b[lo - 1]
             lo -= 1
         if hi % 2 == 1:  # stop falls inside a range: keep its right part
             if stop < b[hi]:
                 insert.extend((stop, b[hi]))
+                delta += b[hi] - stop
             hi += 1
-        b[lo:hi] = insert
+        if lo != hi:
+            for i in range(lo, hi, 2):
+                delta -= b[i + 1] - b[i]
+            self.total += delta
+            b[lo:hi] = insert
 
     def __contains__(self, value: int) -> bool:
         idx = bisect.bisect_right(self._bounds, value)
@@ -132,12 +150,6 @@ class RangeSet:
         return f"RangeSet({inner})"
 
     @property
-    def total(self) -> int:
-        """Number of integers covered by the set."""
-        b = self._bounds
-        return sum(b[i + 1] - b[i] for i in range(0, len(b), 2))
-
-    @property
     def min(self) -> int:
         """Smallest covered integer.  Raises ``IndexError`` when empty."""
         return self._bounds[0]
@@ -150,6 +162,7 @@ class RangeSet:
     def copy(self) -> "RangeSet":
         dup = RangeSet()
         dup._bounds = list(self._bounds)
+        dup.total = self.total
         return dup
 
     def first_gap_after(self, value: int) -> int:

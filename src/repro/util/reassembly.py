@@ -150,6 +150,10 @@ class Reassembler:
             return out[0]
         return b"".join(out)
 
+    def has_pending(self) -> bool:
+        """True when :meth:`pending_ranges` would be non-empty."""
+        return self._upper > self._read_offset
+
     def pending_ranges(self, limit: int = 0) -> List[Tuple[int, int]]:
         """Out-of-order spans above the read offset, newest (highest) first.
 

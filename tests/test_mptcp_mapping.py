@@ -1,12 +1,15 @@
 """Unit tests for MPTCP DSS mapping bookkeeping and the path manager."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.path_manager import PathManager
-from repro.mptcp.connection import _Mapping
+from repro.mptcp.connection import MptcpConnection, _Mapping
 from repro.netsim.engine import Simulator
 from repro.netsim.topology import PathConfig, TwoPathTopology
 from repro.core.connection import MultipathQuicConnection
 from repro.quic.config import QuicConfig
+from repro.tcp.config import TcpConfig
 
 
 class TestMapping:
@@ -41,6 +44,50 @@ class TestMapping:
         m.add(11, 0, 10)  # reinjection of dsn [0, 10)
         assert m.lookup(1)[1] == 0
         assert m.lookup(11)[1] == 0
+
+
+def linear_scan_holder(conn, dsn):
+    """``_holder_of`` by definition: walk every mapping entry of every
+    subflow; the last interface (in order) that ever held ``dsn`` wins."""
+    best = None
+    for iface, mapping in conn._mappings.items():
+        if any(m_dsn <= dsn < m_dsn + length
+               for _sf, m_dsn, length in mapping.entries):
+            best = conn.subflows[iface]
+    return best
+
+
+class TestHolderIndex:
+    DATA = 4000
+
+    @given(st.lists(
+        st.tuples(
+            st.sampled_from(["new", "reinject", "orp"]),
+            st.integers(0, 2),       # subflow
+            st.integers(0, 3999),    # where a reinjection / DATA_UNA sits
+            st.integers(1, 300),     # chunk length
+        ),
+        max_size=40,
+    ))
+    @settings(max_examples=150, deadline=None)
+    def test_index_answers_like_the_linear_scan(self, ops):
+        sim = Simulator()
+        topo = TwoPathTopology(sim, [PathConfig(10, 30, 50)] * 3, seed=1)
+        conn = MptcpConnection(sim, topo.server, "server", TcpConfig(mss=300))
+        conn._dsn_buf = bytearray(self.DATA)
+        for op, iface, where, length in ops:
+            flow = conn.subflows[iface]
+            if op == "new":  # fresh data, in DSN order
+                start, stop = conn._dsn_next, min(conn._dsn_next + length, self.DATA)
+                conn._dsn_next = stop
+            elif op == "reinject":  # any earlier range, any boundaries
+                start, stop = where, min(where + length, self.DATA)
+            else:  # ORP: one MSS at an arbitrary DATA_UNA
+                start, stop = where, min(where + conn.config.mss, self.DATA)
+            if stop > start:
+                conn._bind_chunk(flow, start, stop)
+        for dsn in range(-1, self.DATA + 1):
+            assert conn._holder_of(dsn) is linear_scan_holder(conn, dsn), dsn
 
 
 class TestPathManager:

@@ -1,7 +1,12 @@
 """End-to-end tests of MPTCP scheduler variants and DSS integrity."""
 
+from types import SimpleNamespace
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.mptcp.connection import MptcpConnection
+from repro.mptcp.scheduler import LowestRttSubflowScheduler
 from repro.netsim.engine import Simulator
 from repro.netsim.topology import PathConfig, TwoPathTopology
 from repro.tcp.config import TcpConfig
@@ -32,6 +37,49 @@ class TestRoundRobinSubflows:
             tcp_config=cfg,
         )
         assert result.ok
+
+
+def _fake_subflow(index, established, room, failed, sampled, srtt):
+    return SimpleNamespace(
+        interface_index=index,
+        established=established,
+        can_take_data=lambda: established and room,
+        potentially_failed=failed,
+        rtt=SimpleNamespace(has_sample=sampled, smoothed=srtt),
+    )
+
+
+def usable_then_min(subflows):
+    """The lowest-RTT choice as the docs state it: filter to usable
+    subflows, then ``min`` over the RTT-sampled ones."""
+    ready = [f for f in subflows if f.established and f.can_take_data()]
+    candidates = [f for f in ready if not f.potentially_failed] or ready
+    if not candidates:
+        return None
+    with_rtt = [f for f in candidates if f.rtt.has_sample]
+    if with_rtt:
+        return min(with_rtt, key=lambda f: (f.rtt.smoothed, f.interface_index))
+    return candidates[0]
+
+
+class TestLowestRttOnePassEquivalence:
+    @given(st.lists(
+        st.tuples(
+            st.booleans(), st.booleans(), st.booleans(), st.booleans(),
+            st.sampled_from([0.01, 0.02, 0.02, 0.05, 0.3]),  # ties on srtt
+        ),
+        max_size=5,
+    ), st.randoms(use_true_random=False))
+    @settings(max_examples=500, deadline=None)
+    def test_same_choice_and_tie_break(self, states, rng):
+        order = list(range(len(states)))
+        rng.shuffle(order)  # list order need not be interface order
+        subflows = [_fake_subflow(i, *state) for i, state in zip(order, states)]
+        chosen = LowestRttSubflowScheduler().select(subflows)
+        assert chosen is usable_then_min(subflows)
+        # A dict view (what MptcpConnection passes) works like a list.
+        by_index = {f.interface_index: f for f in subflows}
+        assert LowestRttSubflowScheduler().select(by_index.values()) is chosen
 
 
 class TestDssIntegrity:

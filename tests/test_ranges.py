@@ -188,6 +188,34 @@ class TestRangeSetProperties:
             rs.add(start, stop)
         assert list(rs) == snapshot
 
+    @given(st.lists(
+        st.tuples(
+            st.sampled_from(["add", "remove", "copy"]),
+            st.integers(0, 200),
+            st.integers(0, 30),
+        ),
+        max_size=40,
+    ))
+    @settings(max_examples=300)
+    def test_total_is_current_after_every_mutation(self, ops):
+        """``total`` is maintained, not re-summed: walk add / remove /
+        copy and hold it against a brute-force set after each step."""
+        rs = RangeSet()
+        reference = set()
+        for op, start, length in ops:
+            if op == "add":
+                rs.add(start, start + length)
+                reference.update(range(start, start + length))
+            elif op == "remove":
+                rs.remove(start, start + length)
+                reference.difference_update(range(start, start + length))
+            else:
+                original, rs = rs, rs.copy()
+                original.add(start, start + length + 1)  # must not leak
+            assert rs.total == len(reference)
+            assert rs.total == sum(stop - begin for begin, stop in rs)
+        assert RangeSet(list(rs)).total == len(reference)
+
 
 # ----------------------------------------------------------------------
 # AckManager invariants under randomized receive/ack/drop churn

@@ -2,6 +2,8 @@
 TLP arming, loss marking and pipe accounting."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cc import make_controller
 from repro.netsim.engine import Simulator
@@ -143,6 +145,86 @@ class TestLossMarking:
                     sack_blocks=((1 + 5 * mss, 1 + 9 * mss),))
         )
         assert flow.cc.cwnd_bytes == cwnd_after_first
+
+
+def definitional_loss_marks(flow):
+    """``_mark_losses`` as RFC 6675 states it — per hole, re-sum the
+    SACKed bytes above it.  Returns the (start, stop) holes to mark."""
+    sacked = list(flow._sacked)
+    highest_sacked = sacked[-1][1]
+    mss = flow.config.mss
+    threshold = flow.config.dupack_threshold * mss
+    at_tail = flow.snd_nxt >= flow.buffered_end_seq or (
+        flow.enforce_flow_window and flow.snd_nxt >= flow.peer_window_edge
+    )
+    outstanding = max(
+        1,
+        round(
+            (flow.snd_nxt - flow.snd_una - sum(e - s for s, e in sacked)) / mss
+        ),
+    )
+    if at_tail and outstanding < 4:
+        threshold = max(1, outstanding - 1) * mss
+    marks = []
+    cursor = flow.snd_una
+    while cursor < highest_sacked:
+        gap_start = flow._sacked.first_gap_after(cursor)
+        if gap_start >= highest_sacked:
+            break
+        gap_end = min(s for s, _ in sacked if s > gap_start)
+        sacked_above = sum(e - max(s, gap_end) for s, e in sacked if e > gap_end)
+        if sacked_above >= threshold and not flow._retx_marked.contains_range(
+            gap_start, gap_end
+        ):
+            marks.append((gap_start, gap_end))
+        cursor = gap_end
+    return marks
+
+
+class TestLossMarkingEquivalence:
+    @given(
+        blocks=st.lists(
+            st.tuples(st.integers(0, 59), st.integers(1, 12)), min_size=1,
+            max_size=8,
+        ),
+        premarked=st.lists(
+            st.tuples(st.integers(0, 59), st.integers(1, 6)), max_size=3
+        ),
+        una=st.integers(0, 20),
+        unsent=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_one_pass_marks_what_the_per_hole_definition_marks(
+        self, blocks, premarked, una, unsent
+    ):
+        sim, topo, flow, owner = established_flow()
+        unit = flow.config.mss // 2  # half-segments: thresholds get crossed
+        sent = 60 * unit
+        flow._buf = bytearray(sent + (5 * unit if unsent else 0))
+        flow.snd_nxt = flow.SEQ_BASE + sent
+        flow.snd_una = flow.SEQ_BASE + una * unit
+        for start, length in blocks:
+            lo = max(flow.SEQ_BASE + start * unit, flow.snd_una)
+            hi = min(flow.SEQ_BASE + (start + length) * unit, flow.snd_nxt)
+            flow._sacked.add(lo, hi)
+        for start, length in premarked:
+            lo = flow.SEQ_BASE + start * unit
+            flow._retx_marked.add(lo, lo + length * unit)
+        if not flow._sacked:
+            return
+        expected_marks = definitional_loss_marks(flow)
+        expected_queue = flow._retx_queue.copy()
+        expected_marked = flow._retx_marked.copy()
+        for start, stop in expected_marks:
+            expected_queue.add(start, stop)
+            expected_marked.add(start, stop)
+
+        flow._mark_losses(now=1.0)
+
+        assert flow._retx_queue == expected_queue
+        assert flow._retx_marked == expected_marked
+        assert flow.fast_retransmits == (1 if expected_marks else 0)
+        assert flow.in_recovery == bool(expected_marks)
 
 
 class TestPipeAccounting:
