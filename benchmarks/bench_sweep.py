@@ -1,8 +1,9 @@
-"""Sweep-engine benchmark: serial vs parallel vs warm cache.
+"""Sweep-executor benchmark: serial vs parallel vs warm cache.
 
-Runs one benchmark-scale class sweep three ways — serially, through the
-process pool, and from a warm result cache — asserts the three result
-matrices are bit-identical, and writes a ``BENCH_sweep.json`` record
+Runs one benchmark-scale class sweep three ways — serially, through
+``--jobs`` spool worker processes, and from a warm result cache —
+asserts the three result matrices are bit-identical, and writes a
+``BENCH_sweep.json`` record
 (wall times, simulator events/sec, cache hit/miss counts) that seeds
 the repo's performance trajectory.  CI runs a reduced version of this
 and uploads the JSON as an artifact.
@@ -138,9 +139,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         },
         "parallel": {
             "wall_seconds": round(parallel_seconds, 3),
-            # On a 1-core host "speedup" would only measure process-pool
-            # overhead (historically recorded as a misleading 0.89x), so
-            # the comparison is skipped, not published.
+            # On a 1-core host "speedup" would only measure worker and
+            # spool overhead (historically recorded as a misleading
+            # 0.89x), so the comparison is skipped, not published.
             "speedup_vs_serial": (
                 round(serial_seconds / parallel_seconds, 2)
                 if parallel_seconds > 0 and cores > 1 else None
@@ -159,13 +160,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     }
     if cores == 1:
         record["parallel"]["speedup_skipped_reason"] = (
-            "single-core host: parallel wall time measures process-pool "
+            "single-core host: parallel wall time measures worker/spool "
             "overhead, not parallelism; speedup_vs_serial withheld"
         )
     if cores < args.jobs:
         record["note"] = (
             f"host has {cores} core(s) < jobs={args.jobs}; parallel wall "
-            "time reflects pool overhead, not achievable speedup"
+            "time reflects worker oversubscription, not achievable speedup"
         )
     with open(args.output, "w") as fh:
         json.dump(record, fh, indent=2)

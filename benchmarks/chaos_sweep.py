@@ -1,4 +1,4 @@
-"""Chaos drill for the sweep engine: crash recovery under fault timelines.
+"""Chaos drill for the sweep executor: crash recovery under fault timelines.
 
 Runs one class sweep — every cell carrying a seeded random fault
 timeline (network dynamics *inside* the simulations) — through three
@@ -6,15 +6,19 @@ stages of harness-level abuse:
 
 1. **clean** — serial, no cache: the reference matrix;
 2. **crash-once** — a designated victim cell kills its worker process
-   (``os._exit``) on first execution; the pool is rebuilt, the cell
-   retried, and the final matrix must be bit-identical to stage 1;
+   (``os._exit``) on first execution; the coordinator sees the child
+   exit, takes its lease back at once and replaces the worker, the
+   cell is retried, and the final matrix must be bit-identical to
+   stage 1 — without waiting out a lease TTL;
 3. **crash-always + resume** — the victim dies on every attempt and is
    quarantined (reported to the ``--report`` artifact); a rerun with
    the chaos hook disarmed then resumes from the on-disk cache,
    re-executing *only* the victim, and must again match stage 1.
 
-Exit status is non-zero on any mismatch; CI uploads the quarantine
-report as an artifact.
+With ``REPRO_SWEEP_TELEMETRY`` set, the sidecar the stages wrote is
+checked at the end: every line must parse and carry a ``record`` from
+the executor's one vocabulary.  Exit status is non-zero on any
+mismatch; CI uploads the quarantine report as an artifact.
 
 Usage::
 
@@ -26,16 +30,19 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import random
 import sys
 import tempfile
+import time
 from dataclasses import replace
 from typing import List, Optional, Sequence
 
 from repro.expdesign.parameters import generate_scenarios
-from repro.experiments import parallel
+from repro.experiments.distributed import DEFAULT_LEASE_TTL
 from repro.experiments.parallel import (
+    TELEMETRY_RECORDS,
     ResultCache,
     SweepCell,
     SweepStats,
@@ -127,17 +134,26 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         os.environ["REPRO_CHAOS_CRASH_KEY"] = victim.cache_key()[:16]
         os.environ["REPRO_CHAOS_MARKER_DIR"] = os.path.join(tmp, "markers")
         stats = SweepStats()
+        t0 = time.perf_counter()
         crashed_once = execute_cells(
             cells, jobs=args.jobs, cache=None, stats=stats
         )
+        elapsed = time.perf_counter() - t0
         _disarm_chaos()
         print(
             f"stage 2 (crash-once, jobs={args.jobs}): retries={stats.retries} "
-            f"pool_restarts={stats.pool_restarts} "
-            f"quarantined={stats.quarantined}"
+            f"leases_reclaimed={stats.reclaimed} "
+            f"quarantined={stats.quarantined} in {elapsed:.1f}s"
         )
         if stats.retries < 1:
             print("FAIL: the chaos victim never crashed", file=sys.stderr)
+            failures += 1
+        if elapsed >= DEFAULT_LEASE_TTL:
+            print(
+                "FAIL: recovering the dead worker's cell waited out a "
+                f"lease TTL ({elapsed:.1f}s)",
+                file=sys.stderr,
+            )
             failures += 1
         if any(r is None for r in crashed_once):
             print("FAIL: crash-once sweep left empty slots", file=sys.stderr)
@@ -163,13 +179,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 cells, jobs=args.jobs, cache=cache, stats=stats, retries=1
             )
         _disarm_chaos()
-        write_quarantine_report(args.report, parallel.last_quarantine)
+        write_quarantine_report(args.report, stats.quarantine)
         print(
             f"stage 3 (crash-always): quarantined={stats.quarantined}, "
             f"report -> {args.report}"
         )
         empty = [i for i, r in enumerate(interrupted) if r is None]
-        if stats.quarantined != 1 or len(parallel.last_quarantine) != 1:
+        if stats.quarantined != 1 or len(stats.quarantine) != 1:
             print("FAIL: expected exactly one quarantined cell", file=sys.stderr)
             failures += 1
         if len(empty) != 1:
@@ -201,6 +217,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             failures += 1
         else:
             print("stage 3: resumed sweep bit-identical to the clean run")
+
+    sidecar = os.environ.get("REPRO_SWEEP_TELEMETRY")
+    if sidecar:
+        with open(sidecar) as fh:
+            kinds = [json.loads(line)["record"] for line in fh]
+        stray = sorted(set(kinds) - set(TELEMETRY_RECORDS))
+        print(f"telemetry: {len(kinds)} records in {sidecar}")
+        if stray or not kinds:
+            print(
+                f"FAIL: sidecar records outside the vocabulary: {stray}",
+                file=sys.stderr,
+            )
+            failures += 1
 
     if failures:
         print(f"{failures} chaos gate(s) failed", file=sys.stderr)

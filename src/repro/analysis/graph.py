@@ -3,7 +3,7 @@
 The per-module rules in :mod:`repro.analysis.rules` see one file at a
 time, which is exactly the blind spot cross-module determinism bugs
 hide in: an unseeded RNG returned from a helper, module-level state
-shared by ``ProcessPoolExecutor`` workers, a category constant that
+shared by sweep worker processes, a category constant that
 drifted from the telemetry registry.  This module builds the project
 structures the interprocedural rules (:mod:`repro.analysis.xrules`)
 need:
@@ -57,9 +57,9 @@ NAME_FALLBACK_LIMIT = 4
 MAX_CHAIN = 16
 
 #: Function names that root the sweep-worker reachability closure:
-#: ``run_cell`` (pool workers) and ``worker_loop`` (the distributed
-#: executor's claim/execute/commit loop) both run cells in worker
-#: processes, so both anchor the sweep-purity contract.
+#: ``run_cell`` (the in-process loop and every worker call it) and
+#: ``worker_loop`` (the spool worker's claim/execute/commit loop) both
+#: run cells, so both anchor the sweep-purity contract.
 SWEEP_WORKER_ENTRY_NAMES = ("run_cell", "worker_loop")
 
 
@@ -787,12 +787,11 @@ class ProjectGraph:
         ]
 
     def sweep_worker_entries(self) -> List[str]:
-        """All sweep worker roots: pool workers *and* distributed workers.
+        """All sweep worker roots: ``run_cell`` *and* the spool worker.
 
-        The distributed executor's ``worker_loop`` runs cells in
-        independent processes exactly like ``run_cell`` does under the
-        pool, so everything reachable from it is subject to the same
-        purity contract (no cache-key-invisible inputs).
+        The spool's ``worker_loop`` runs cells in independent processes,
+        so everything reachable from it is subject to the same purity
+        contract as ``run_cell`` (no cache-key-invisible inputs).
         """
         return [
             q for q, f in self.functions.items()

@@ -677,9 +677,8 @@ class SweepPurityRule(ProjectRule):
 
     rule_id = "sweep-purity"
     rationale = (
-        "Code reachable from run_cell executes in ProcessPoolExecutor "
-        "workers (and from worker_loop in independent distributed "
-        "worker processes); module-level mutable state and os.environ "
+        "Code reachable from run_cell and worker_loop executes in sweep "
+        "worker processes; module-level mutable state and os.environ "
         "reads are "
         "inputs the result-cache key cannot see, so they silently "
         "decide what a cached cell *means* — a cross-process race on "

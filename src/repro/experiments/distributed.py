@@ -1,61 +1,31 @@
-"""Fault-tolerant distributed sweep executor.
+"""The sweep executor's spool protocol: leases, workers, coordinator.
 
-The parallel engine (:mod:`repro.experiments.parallel`) fans a sweep
-out over one process pool on one host; this module scales the same
-cells across *independent* worker processes coordinated through a
-shared **spool directory** — a file-based work protocol with no
-sockets, brokers or shared memory, so "multi-host" is just "mount the
-same directory".  Robustness is the design centre, not an add-on:
+:func:`repro.experiments.parallel.execute_cells` runs ``jobs > 1``
+sweeps through this module over a temporary spool with local workers;
+pointed at a directory that outlives one call
+(:func:`run_distributed_sweep`, or the CLI below) the same protocol
+spreads a sweep over *independent* worker processes on any hosts that
+mount it.  A **spool directory** is a file-based work protocol with no
+sockets, brokers or shared memory; every mutation is an atomic rename,
+a temp-file + rename commit or an ``O_APPEND`` write.  See
+``docs/distributed.md`` for the layout and the failure matrix.
 
-* **Lease-based claims.**  A cell is claimed by atomically renaming
-  its ``todo/`` token into ``leases/`` (exactly one winner per token);
-  the lease carries a TTL and is renewed by a heartbeat thread while
-  the cell runs.  A worker killed with SIGKILL mid-cell stops
-  heartbeating, its lease expires, and any other worker (or the
-  coordinator) *reclaims* it — the attempt is recorded as a failure
-  and the cell re-queued under the same bounded-backoff/quarantine
-  rules the in-process engine uses.
-* **Two-phase, checksummed commits.**  Workers write results through
-  the content-addressed :class:`~repro.experiments.parallel.ResultCache`
-  (temp file + digest + rename), so a torn write can never be read
-  back as a result: truncated, garbage or digest-mismatched entries
-  count as logged misses and quarantine candidates, never crashes.
-  Commits are *idempotent by construction* — cells are deterministic,
-  so a duplicate execution (two workers racing a reclaimed lease)
-  rewrites byte-identical content under the same key.  Lease
-  exclusivity is therefore an efficiency mechanism; correctness rests
-  on the commit protocol.
-* **Stateless, crash-resumable coordinator.**  Every piece of
-  coordinator state lives in the spool.  Kill it at any point and
-  restart it against the same directory: completed cells are recovered
-  bit-identically from the cache, expired leases are reclaimed, lost
-  cells are re-queued, and the sweep continues.
-* **Streaming, bounded-memory aggregation.**  Committed results fold
-  one at a time into :class:`SweepAggregate` — Greenwald-Khanna
-  :class:`~repro.experiments.metrics.QuantileSketch` summaries plus
-  :class:`~repro.experiments.metrics.StreamingJain` fairness — so a
-  10k-cell design aggregates in O(sketch) memory with no full result
-  matrix (``collect="aggregate"``).
-
-Spool layout (all mutations are atomic renames or O_APPEND writes)::
-
-    <spool>/
-      manifest.json        frozen sweep identity: format version,
-                           ordered cell keys, runner kind, lease TTL,
-                           max attempts
-      cells/<key>.pkl      immutable pickled SweepCell work units
-      todo/<key>           claim tokens (presence = claimable)
-      leases/<key>.<worker>.lease
-                           active claims: owner, deadline (renewed)
-      failures/<key>.<n>.<worker>.json
-                           one record per failed attempt (exceptions
-                           and expired leases both count)
-      quarantine/<key>.json
-                           terminal skip-list entries (capped errors)
-      cache/               shared ResultCache commit target
-      telemetry.jsonl      line-atomic shared event sidecar
-
-See ``docs/distributed.md`` for the full protocol and failure matrix.
+* **Lease-based claims.**  A cell is claimed by renaming its ``todo/``
+  token into ``leases/`` (exactly one winner); a heartbeat renews the
+  lease's TTL while the cell runs.  A dead worker's lease expires and
+  any peer *reclaims* it — a failed attempt under the retry/quarantine
+  policy the in-process loop uses (``parallel.settle_failure``).  A
+  coordinator that sees one of its *own* workers exit reclaims that
+  child's leases at once instead of waiting out the TTL.
+* **Idempotent, checksummed commits** through the content-addressed
+  :class:`~repro.experiments.parallel.ResultCache`.  Cells are
+  deterministic, so a duplicate execution rewrites identical bytes:
+  lease exclusivity is an efficiency mechanism, correctness rests on
+  the commit protocol.
+* **Stateless coordinator.**  All state lives in the spool; a restarted
+  coordinator recovers commits from the cache, reclaims expired leases
+  and re-queues lost cells.  ``collect="aggregate"`` folds commits into
+  :class:`SweepAggregate` sketches instead of a result matrix.
 """
 
 from __future__ import annotations
@@ -76,14 +46,21 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.metrics import QuantileSketch, StreamingJain
 from repro.experiments.parallel import (
-    MAX_QUARANTINE_ERRORS,
+    DEFAULT_RETRIES,
     RESULTS_FORMAT_VERSION,
     CellResult,
     ResultCache,
     SweepCell,
+    SweepStats,
+    atomic_write,
     backoff_delay,
+    cell_record,
     clip_error,
+    emit,
     run_cell,
+    settle_failure,
+    sweep_end_record,
+    sweep_start_record,
 )
 from repro.experiments.runner import BulkRunResult
 from repro.experiments.workload import WorkloadRunResult
@@ -94,13 +71,9 @@ from repro.obs import metrics as _metrics
 #: one is reclaimable after at most one TTL.
 DEFAULT_LEASE_TTL = 15.0
 
-#: Default total attempts per cell (first run + retries) before the
-#: cell is quarantined — matches the in-process engine's default.
-DEFAULT_MAX_ATTEMPTS = 3
-
 #: Idle poll interval for workers waiting on claimable cells and for
 #: the coordinator's progress scan, seconds.
-DEFAULT_POLL_INTERVAL = 0.1
+POLL_INTERVAL = 0.1
 
 #: Known cell runners: ``simulation`` executes the real
 #: :func:`repro.experiments.parallel.run_cell`; ``synthetic`` derives
@@ -128,29 +101,13 @@ class Spool:
     ttl: float
     max_attempts: int
 
-    @property
-    def cells_dir(self) -> Path:
-        return self.root / "cells"
-
-    @property
-    def todo_dir(self) -> Path:
-        return self.root / "todo"
-
-    @property
-    def leases_dir(self) -> Path:
-        return self.root / "leases"
-
-    @property
-    def failures_dir(self) -> Path:
-        return self.root / "failures"
-
-    @property
-    def quarantine_dir(self) -> Path:
-        return self.root / "quarantine"
-
-    @property
-    def telemetry_path(self) -> Path:
-        return self.root / "telemetry.jsonl"
+    def __post_init__(self) -> None:
+        self.cells_dir = self.root / "cells"
+        self.todo_dir = self.root / "todo"
+        self.leases_dir = self.root / "leases"
+        self.failures_dir = self.root / "failures"
+        self.quarantine_dir = self.root / "quarantine"
+        self.telemetry_path = self.root / "telemetry.jsonl"
 
     def cache(self) -> ResultCache:
         return ResultCache(self.root / "cache")
@@ -171,15 +128,16 @@ class Spool:
                 f"spool {path} has format {manifest.get('format')!r}, "
                 f"this build expects {RESULTS_FORMAT_VERSION}"
             )
-        return Spool(
-            root=path,
-            keys=tuple(manifest["keys"]),
-            runner=manifest.get("runner", "simulation"),
-            ttl=float(manifest.get("ttl", DEFAULT_LEASE_TTL)),
-            max_attempts=int(
-                manifest.get("max_attempts", DEFAULT_MAX_ATTEMPTS)
-            ),
-        )
+        try:
+            return Spool(
+                root=path,
+                keys=tuple(manifest["keys"]),
+                runner=manifest["runner"],
+                ttl=float(manifest["ttl"]),
+                max_attempts=int(manifest["max_attempts"]),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SpoolError(f"corrupt spool manifest {manifest_path}") from exc
 
     def load_cell(self, key: str) -> SweepCell:
         with open(self.cells_dir / f"{key}.pkl", "rb") as fh:
@@ -189,36 +147,22 @@ class Spool:
         return cell
 
 
-def _atomic_write_json(path: Path, payload: Dict[str, Any]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+def _write_json(path: Path, payload: Dict[str, Any]) -> None:
+    atomic_write(path, json.dumps(payload, sort_keys=True).encode())
+
+
+def _listdir(path: Path) -> List[str]:
     try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(payload, fh, sort_keys=True)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+        return os.listdir(path)
+    except OSError:
+        return []
 
 
-def append_telemetry(spool: Spool, record: Dict[str, Any]) -> None:
-    """Append one line-atomic JSONL record to the shared sidecar.
-
-    Open/write/close per record on an ``O_APPEND`` descriptor: the
-    kernel serialises whole-line appends, so any number of workers and
-    coordinators share one sidecar without interleaving partial lines.
-    """
-    line = json.dumps(record, sort_keys=True) + "\n"
-    fd = os.open(
-        spool.telemetry_path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
-    )
+def _unlink(path: Path) -> None:
     try:
-        os.write(fd, line.encode())
-    finally:
-        os.close(fd)
+        os.unlink(path)
+    except OSError:
+        pass
 
 
 def init_spool(
@@ -226,23 +170,17 @@ def init_spool(
     cells: Sequence[SweepCell],
     runner: str = "simulation",
     ttl: float = DEFAULT_LEASE_TTL,
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
+    max_attempts: int = DEFAULT_RETRIES + 1,
 ) -> Spool:
     """Create (or idempotently re-open) a spool for ``cells``.
 
-    Safe to call again on an existing spool with the same plan — the
-    coordinator does exactly that after a crash-restart.  A spool
-    holding a *different* plan is refused rather than silently mixed.
+    Safe to call again with the same plan — a restarted coordinator
+    does exactly that.  A spool holding a *different* plan is refused.
     """
     if runner not in RUNNERS:
         raise ValueError(f"unknown runner {runner!r} (expected {RUNNERS})")
     path = Path(root)
-    keys: List[str] = []
-    seen = set()
-    for cell in cells:
-        key = cell.cache_key()
-        keys.append(key)
-        seen.add(key)
+    keys = [cell.cache_key() for cell in cells]
     manifest_path = path / "manifest.json"
     if manifest_path.exists():
         spool = Spool.open(path)
@@ -254,33 +192,15 @@ def init_spool(
         return spool
     for sub in ("cells", "todo", "leases", "failures", "quarantine", "cache"):
         (path / sub).mkdir(parents=True, exist_ok=True)
-    written = set()
-    for cell in cells:
-        key = cell.cache_key()
-        if key in written:
-            continue
-        written.add(key)
-        cell_path = path / "cells" / f"{key}.pkl"
-        fd, tmp = tempfile.mkstemp(dir=cell_path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                pickle.dump(cell, fh, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, cell_path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-    _atomic_write_json(
+    for key, cell in dict(zip(keys, cells)).items():
+        atomic_write(
+            path / "cells" / f"{key}.pkl",
+            pickle.dumps(cell, protocol=pickle.HIGHEST_PROTOCOL),
+        )
+    _write_json(
         manifest_path,
-        {
-            "format": RESULTS_FORMAT_VERSION,
-            "keys": keys,
-            "runner": runner,
-            "ttl": ttl,
-            "max_attempts": max_attempts,
-        },
+        {"format": RESULTS_FORMAT_VERSION, "keys": keys, "runner": runner,
+         "ttl": ttl, "max_attempts": max_attempts},
     )
     spool = Spool.open(path)
     ensure_tokens(spool)
@@ -296,23 +216,36 @@ def _lease_path(spool: Spool, key: str, worker_id: str) -> Path:
     return spool.leases_dir / f"{key}.{worker_id}.lease"
 
 
-def _lease_files(spool: Spool, key: Optional[str] = None) -> List[Path]:
-    try:
-        names = sorted(os.listdir(spool.leases_dir))
-    except OSError:
-        return []
-    out = []
-    for name in names:
-        if not name.endswith(".lease"):
-            continue
-        if key is not None and not name.startswith(f"{key}."):
-            continue
-        out.append(spool.leases_dir / name)
-    return out
+def _lease_files(spool: Spool) -> List[Path]:
+    return [
+        spool.leases_dir / name
+        for name in sorted(_listdir(spool.leases_dir))
+        if name.endswith(".lease")
+    ]
 
 
 def _lease_key(path: Path) -> str:
     return path.name.split(".", 1)[0]
+
+
+def _stamp_lease(spool: Spool, lease: Path, worker_id: str, now: float) -> bool:
+    """Write owner and deadline into an existing lease; False when it is gone.
+
+    Written in place, never created: a lease that a peer reclaimed stays
+    reclaimed, and a reader catching the write half-done falls back to
+    :func:`read_lease`'s ``mtime + ttl`` grace — the deadline being
+    written.
+    """
+    stamp = {"owner": worker_id, "deadline": now + spool.ttl, "claimed_at": now}
+    try:
+        fd = os.open(lease, os.O_WRONLY | os.O_TRUNC)
+    except OSError:
+        return False
+    try:
+        os.write(fd, json.dumps(stamp, sort_keys=True).encode())
+    finally:
+        os.close(fd)
+    return True
 
 
 def read_lease(path: Path, now: float, ttl: float) -> Tuple[str, float]:
@@ -327,9 +260,7 @@ def read_lease(path: Path, now: float, ttl: float) -> Tuple[str, float]:
     try:
         with open(path) as fh:
             data = json.load(fh)
-        owner = data["owner"]
-        deadline = float(data["deadline"])
-        return owner, deadline
+        return data["owner"], float(data["deadline"])
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError):
         pass
     try:
@@ -339,53 +270,29 @@ def read_lease(path: Path, now: float, ttl: float) -> Tuple[str, float]:
     return "?", mtime + ttl
 
 
-def claim_cell(
-    spool: Spool, key: str, worker_id: str, now: float
-) -> bool:
+def claim_cell(spool: Spool, key: str, worker_id: str, now: float) -> bool:
     """Try to claim ``key``'s todo token; True when this worker won.
 
-    The claim itself is one atomic rename — exactly one contender can
-    move ``todo/<key>`` into its lease path.  The winner then stamps
-    the lease with its identity and deadline.
+    The claim is one atomic rename of ``todo/<key>`` into the lease
+    path — exactly one contender can win — stamped afterwards.
     """
     lease = _lease_path(spool, key, worker_id)
     try:
         os.rename(spool.todo_dir / key, lease)
     except OSError:
         return False
-    _atomic_write_json(
-        lease,
-        {"owner": worker_id, "deadline": now + spool.ttl, "claimed_at": now},
-    )
-    return True
+    return _stamp_lease(spool, lease, worker_id, now)
 
 
-def renew_lease(
-    spool: Spool, key: str, worker_id: str, now: float
-) -> bool:
-    """Extend this worker's lease; False when the lease was lost.
-
-    A lost lease (reclaimed by a peer that judged us dead) is *not* an
-    error: the worker may finish and commit anyway — commits are
-    idempotent — but it learns it no longer runs exclusively.
-    """
-    lease = _lease_path(spool, key, worker_id)
-    if not lease.exists():
-        return False
-    _atomic_write_json(
-        lease,
-        {"owner": worker_id, "deadline": now + spool.ttl, "claimed_at": now},
-    )
-    return True
+def renew_lease(spool: Spool, key: str, worker_id: str, now: float) -> bool:
+    """Extend this worker's lease; False when the lease was lost
+    (reclaimed by a peer that judged this worker dead)."""
+    return _stamp_lease(spool, _lease_path(spool, key, worker_id), worker_id, now)
 
 
 def release_lease(spool: Spool, key: str, worker_id: str) -> None:
-    """Drop this worker's lease after a terminal outcome (commit or
-    quarantine)."""
-    try:
-        os.unlink(_lease_path(spool, key, worker_id))
-    except OSError:
-        pass
+    """Drop this worker's lease after a terminal outcome."""
+    _unlink(_lease_path(spool, key, worker_id))
 
 
 def release_to_todo(spool: Spool, key: str, worker_id: str) -> None:
@@ -396,38 +303,32 @@ def release_to_todo(spool: Spool, key: str, worker_id: str) -> None:
         pass
 
 
+def _failure_files(spool: Spool, key: str) -> List[str]:
+    return sorted(
+        name for name in _listdir(spool.failures_dir)
+        if name.startswith(f"{key}.") and name.endswith(".json")
+    )
+
+
 def failure_count(spool: Spool, key: str) -> int:
     """Recorded failed attempts for ``key`` (exceptions + dead leases)."""
-    try:
-        names = os.listdir(spool.failures_dir)
-    except OSError:
-        return 0
-    return sum(1 for name in names if name.startswith(f"{key}."))
+    return len(_failure_files(spool, key))
 
 
-def record_failure(
-    spool: Spool, key: str, error: str, worker_id: str
-) -> int:
-    """Append one failed-attempt record; returns the new attempt count."""
+def record_failure(spool: Spool, key: str, error: str, worker_id: str) -> int:
+    """Append one failed-attempt record; returns its attempt number."""
     attempt = failure_count(spool, key) + 1
-    _atomic_write_json(
+    _write_json(
         spool.failures_dir / f"{key}.{attempt}.{worker_id}.json",
         {"error": clip_error(error), "worker": worker_id, "attempt": attempt},
     )
-    return failure_count(spool, key)
+    return attempt
 
 
 def failure_errors(spool: Spool, key: str) -> List[str]:
     """The recorded error strings for ``key``, in attempt order."""
-    try:
-        names = sorted(
-            name for name in os.listdir(spool.failures_dir)
-            if name.startswith(f"{key}.")
-        )
-    except OSError:
-        return []
     errors = []
-    for name in names:
+    for name in _failure_files(spool, key):
         try:
             with open(spool.failures_dir / name) as fh:
                 errors.append(str(json.load(fh).get("error", "?")))
@@ -436,33 +337,30 @@ def failure_errors(spool: Spool, key: str) -> List[str]:
     return errors
 
 
-def quarantine_cell(spool: Spool, key: str, worker_id: str) -> None:
-    """Write the terminal skip-list entry for ``key`` and de-queue it."""
+def fail_attempt(spool: Spool, key: str, error: str, worker_id: str) -> bool:
+    """Record a failed attempt of ``key``; True when that quarantined it.
+
+    Applies :func:`~repro.experiments.parallel.settle_failure` — the
+    in-process loop's policy — to the failure history on disk; a
+    quarantined cell gets its skip-list entry and loses its token.
+    """
+    record_failure(spool, key, error, worker_id)
     try:
-        cell = spool.load_cell(key)
-        meta: Dict[str, Any] = {
-            "protocol": cell.protocol,
-            "initial_interface": cell.initial_interface,
-            "base_seed": cell.base_seed,
-        }
+        cell: Optional[SweepCell] = spool.load_cell(key)
     except Exception:
         # A corrupt pickle can surface as almost anything (ValueError,
-        # EOFError, AttributeError, ...) — the quarantine entry must be
-        # written regardless; cell metadata is best-effort decoration.
-        meta = {}
-    errors = [clip_error(e) for e in failure_errors(spool, key)]
-    entry = {
-        "cache_key": key,
-        "attempts": failure_count(spool, key),
-        "errors": errors[-MAX_QUARANTINE_ERRORS:],
-        "quarantined_by": worker_id,
-    }
-    entry.update(meta)
-    _atomic_write_json(spool.quarantine_dir / f"{key}.json", entry)
-    try:
-        os.unlink(spool.todo_dir / key)
-    except OSError:
-        pass
+        # EOFError, AttributeError, ...) — the entry must be written
+        # regardless; cell metadata is best-effort decoration.
+        cell = None
+    entry = settle_failure(
+        spool.telemetry_path, key, cell, failure_errors(spool, key),
+        spool.max_attempts,
+    )
+    if entry is None:
+        return False
+    _write_json(spool.quarantine_dir / f"{key}.json", entry)
+    _unlink(spool.todo_dir / key)
+    return True
 
 
 def is_quarantined(spool: Spool, key: str) -> bool:
@@ -471,12 +369,8 @@ def is_quarantined(spool: Spool, key: str) -> bool:
 
 def quarantine_entries(spool: Spool) -> List[Dict[str, Any]]:
     """Every terminal skip-list entry, in key order."""
-    try:
-        names = sorted(os.listdir(spool.quarantine_dir))
-    except OSError:
-        return []
     entries = []
-    for name in names:
+    for name in sorted(_listdir(spool.quarantine_dir)):
         if not name.endswith(".json"):
             continue
         try:
@@ -488,56 +382,54 @@ def quarantine_entries(spool: Spool) -> List[Dict[str, Any]]:
     return entries
 
 
-def reclaim_expired(
-    spool: Spool, now: float, worker_id: str
-) -> int:
-    """Reclaim every expired lease; returns how many were reclaimed.
+def _reclaim(spool: Spool, lease: Path, owner: str, why: str, by: str) -> bool:
+    """Take ``lease`` back from ``owner``; False when a peer got there first.
 
-    The reclaim is one atomic rename back into ``todo/`` — exactly one
-    contender wins a given lease file.  The winner records the expiry
-    as a failed attempt (a SIGKILLed worker never got to), then
-    quarantines the cell if it has exhausted its attempts.
+    One atomic rename back into ``todo/`` — exactly one contender wins
+    — after which the winner records the lost attempt as a failure (a
+    SIGKILLed worker never got to).
     """
+    key = _lease_key(lease)
+    if _committed(spool, key):
+        # Died between commit and release: nothing was lost.
+        _unlink(lease)
+        return False
+    try:
+        os.rename(lease, spool.todo_dir / key)
+    except OSError:
+        return False
+    emit(
+        spool.telemetry_path,
+        {"record": "lease_reclaimed", "cache_key": key,
+         "previous_owner": owner, "by": by},
+    )
+    fail_attempt(spool, key, f"{why} (owner={owner} presumed dead)", by)
+    return True
+
+
+def reclaim_expired(spool: Spool, now: float, worker_id: str) -> int:
+    """Reclaim every expired lease; returns how many were reclaimed."""
     reclaimed = 0
     for lease in _lease_files(spool):
-        key = _lease_key(lease)
         owner, deadline = read_lease(lease, now, spool.ttl)
-        if deadline >= now or owner == worker_id:
-            continue
-        try:
-            os.rename(lease, spool.todo_dir / key)
-        except OSError:
-            continue  # somebody else won the reclaim
-        reclaimed += 1
-        attempts = record_failure(
-            spool, key,
-            f"lease expired (owner={owner} presumed dead)", worker_id,
-        )
-        append_telemetry(
-            spool,
-            {"record": "lease_reclaimed", "cache_key": key,
-             "previous_owner": owner, "by": worker_id,
-             "attempts": attempts},
-        )
-        if attempts >= spool.max_attempts:
-            quarantine_cell(spool, key, worker_id)
+        if deadline < now and owner != worker_id:
+            reclaimed += _reclaim(spool, lease, owner, "lease expired", worker_id)
     return reclaimed
+
+
+def _committed(spool: Spool, key: str) -> bool:
+    return os.path.exists(
+        os.path.join(spool.root, "cache", key[:2], f"{key}.json")
+    )
 
 
 def terminal_keys(spool: Spool) -> Tuple[set, set]:
     """``(committed, quarantined)`` key sets, by direct directory scan."""
-    committed = set()
-    cache_root = spool.root / "cache"
-    for key in spool.keys:
-        if (cache_root / key[:2] / f"{key}.json").exists():
-            committed.add(key)
-    quarantined = set()
-    try:
-        for name in os.listdir(spool.quarantine_dir):
-            if name.endswith(".json"):
-                quarantined.add(name[: -len(".json")])
-    except OSError:
-        pass
+    committed = {key for key in spool.keys if _committed(spool, key)}
+    quarantined = {
+        name[: -len(".json")] for name in _listdir(spool.quarantine_dir)
+        if name.endswith(".json")
+    }
     return committed, quarantined
 
 
@@ -545,24 +437,23 @@ def ensure_tokens(spool: Spool) -> int:
     """Re-queue every cell that is neither terminal, queued nor leased.
 
     The self-healing pass that makes the coordinator stateless: after
-    any crash (worker, coordinator, or a corrupt cache entry set
-    aside), calling this restores the invariant that every unfinished
-    cell is either claimable or actively leased.  Returns how many
-    tokens were (re)created.
+    any crash (or a corrupt cache entry set aside) it restores the
+    invariant that every unfinished cell is claimable or leased.
+    Returns how many tokens were (re)created.
     """
-    committed, quarantined = terminal_keys(spool)
-    try:
-        queued = set(os.listdir(spool.todo_dir))
-    except OSError:
-        queued = set()
-    leased = {_lease_key(p) for p in _lease_files(spool)}
+    return _requeue_lost(spool, spool.keys)
+
+
+def _requeue_lost(spool: Spool, keys: Sequence[str]) -> int:
+    """:func:`ensure_tokens` over ``keys`` (the coordinator passes only
+    the cells it still waits for, so a poll never rescans finished ones)."""
+    accounted = set(_listdir(spool.todo_dir))
+    accounted.update(_lease_key(p) for p in _lease_files(spool))
     created = 0
-    for key in spool.keys:
-        if key in committed or key in quarantined:
+    for key in keys:
+        if key in accounted or _committed(spool, key) or is_quarantined(spool, key):
             continue
-        if key in queued or key in leased:
-            continue
-        _atomic_write_json(spool.todo_dir / key, {"requeued": True})
+        (spool.todo_dir / key).touch()
         created += 1
     return created
 
@@ -571,41 +462,35 @@ def ensure_tokens(spool: Spool) -> int:
 # Worker
 # ----------------------------------------------------------------------
 
-class _LeaseHeartbeat(threading.Thread):
-    """Renews one lease at TTL/3 cadence while its cell executes.
+def _start_heartbeat(spool: Spool, key: str, worker_id: str) -> Callable[[], None]:
+    """Renew one lease at TTL/3 cadence while its cell executes; call
+    the returned function to stop.
 
-    A SIGKILL kills this thread with the process — exactly the signal
-    the protocol needs: the lease stops renewing and expires.
+    A SIGKILL kills the daemon thread with the process — exactly the
+    signal the protocol needs: the lease stops renewing and expires.  A
+    renewal that finds the lease gone (a peer judged this worker dead)
+    is not an error: the cell finishes and commits anyway.
     """
+    halt = threading.Event()
 
-    def __init__(self, spool: Spool, key: str, worker_id: str) -> None:
-        super().__init__(daemon=True, name=f"lease-heartbeat-{key[:8]}")
-        self._spool = spool
-        self._key = key
-        self._worker_id = worker_id
-        self._halt = threading.Event()
-        self.lost = False
+    def beat() -> None:
+        while not halt.wait(max(spool.ttl / 3.0, 0.02)):
+            renew_lease(spool, key, worker_id, time.time())
 
-    def run(self) -> None:
-        interval = max(self._spool.ttl / 3.0, 0.02)
-        while not self._halt.wait(interval):
-            if not renew_lease(
-                self._spool, self._key, self._worker_id, time.time()
-            ):
-                self.lost = True
+    thread = threading.Thread(target=beat, daemon=True, name=f"lease-{key[:8]}")
+    thread.start()
 
-    def stop(self) -> None:
-        self._halt.set()
-        self.join(timeout=5.0)
+    def stop() -> None:
+        halt.set()
+        thread.join(timeout=5.0)
+
+    return stop
 
 
 def synthetic_result(cell: SweepCell) -> BulkRunResult:
-    """Deterministic no-simulation result for harness drills.
-
-    Derived purely from the cell's cache key, so re-execution anywhere
-    reproduces it bit-identically — which is what lets 10k-cell
-    protocol/scale tests exercise the full spool machinery in seconds.
-    """
+    """Deterministic no-simulation result for harness drills, derived
+    purely from the cell's cache key so re-execution anywhere reproduces
+    it bit-identically."""
     word = int.from_bytes(
         hashlib.sha256(cell.cache_key().encode()).digest()[:8], "big"
     )
@@ -624,202 +509,127 @@ def synthetic_result(cell: SweepCell) -> BulkRunResult:
     )
 
 
-def execute_spooled_cell(cell: SweepCell, runner: str) -> CellResult:
-    """Run one claimed cell under the spool's configured runner."""
-    if runner == "synthetic":
-        return synthetic_result(cell)
-    return run_cell(cell)
-
-
-@dataclass
-class WorkerStats:
-    """Accounting of one :func:`worker_loop` invocation."""
-
-    worker_id: str
-    committed: int = 0
-    already_done: int = 0
-    failed: int = 0
-    quarantined: int = 0
-    reclaimed: int = 0
-    leases_lost: int = 0
-
-
 def worker_loop(
     spool_root: "os.PathLike[str]",
     worker_id: Optional[str] = None,
-    poll_interval: float = DEFAULT_POLL_INTERVAL,
     max_cells: Optional[int] = None,
     max_seconds: Optional[float] = None,
-) -> WorkerStats:
+) -> SweepStats:
     """Claim, execute and commit cells until the spool drains.
 
-    The distributed twin of the pool worker: wholly independent of the
-    coordinator (it can start before, after, or without one) and of
-    its peers.  Exits when every manifest cell is terminal, or when
-    the optional ``max_cells`` / ``max_seconds`` budgets run out.
+    Independent of any coordinator and of its peers.  Exits when every
+    manifest cell is terminal, or when the optional ``max_cells`` /
+    ``max_seconds`` budgets run out.
     """
     spool = Spool.open(spool_root)
     me = worker_id if worker_id is not None else f"w{os.getpid()}"
-    stats = WorkerStats(worker_id=me)
+    stats = SweepStats(cells=len(spool.keys))
     cache = spool.cache()
-    deadline = (
-        time.time() + max_seconds if max_seconds is not None else None
+    deadline = time.time() + max_seconds if max_seconds is not None else None
+    emit(
+        spool.telemetry_path,
+        {"record": "worker_start", "worker": me, "pid": os.getpid()},
     )
-    append_telemetry(
-        spool, {"record": "worker_start", "worker": me, "pid": os.getpid()}
-    )
-    idle_polls = 0
     # Worker-local claim backlog: one sorted todo/ scan serves many
     # claims, so draining N cells costs O(N) directory reads instead
     # of O(N^2).  Staleness is harmless — a vanished token just fails
     # its claim rename and the backlog refills on exhaustion.
     backlog: List[str] = []
+    next_reap = 0.0
     while True:
         if max_cells is not None and (
-            stats.committed + stats.already_done + stats.quarantined
+            stats.executed + stats.cache_hits + stats.quarantined
         ) >= max_cells:
             break
-        if deadline is not None and time.time() >= deadline:
-            break
         now = time.time()
-        stats.reclaimed += reclaim_expired(spool, now, me)
+        if deadline is not None and now >= deadline:
+            break
+        if now >= next_reap:
+            # No lease can lapse faster than its TTL, so reaping at
+            # heartbeat cadence finds every dead peer just as surely as
+            # scanning before each claim.
+            stats.reclaimed += reclaim_expired(spool, now, me)
+            next_reap = now + spool.ttl / 3.0
         key = _claim_next(spool, me, now, backlog)
-        if key is None:
-            if _spool_drained(spool):
-                healed = ensure_tokens(spool)
-                if healed == 0 and _spool_drained(spool):
-                    break
-                continue
-            idle_polls += 1
-            time.sleep(poll_interval)
-            continue
-        idle_polls = 0
-        _work_one(spool, cache, key, me, stats)
-    append_telemetry(
-        spool,
-        {"record": "worker_end", "worker": me,
-         "committed": stats.committed, "failed": stats.failed,
-         "quarantined": stats.quarantined, "reclaimed": stats.reclaimed},
+        if key is not None:
+            _work_one(spool, cache, key, me, stats)
+        elif not _spool_drained(spool):
+            time.sleep(POLL_INTERVAL)
+        elif ensure_tokens(spool) == 0 and _spool_drained(spool):
+            break
+    emit(
+        spool.telemetry_path,
+        {"record": "worker_end", "worker": me, **stats.counters()},
     )
     return stats
 
 
 def _spool_drained(spool: Spool) -> bool:
     """No queued tokens and no live leases — the sweep looks finished."""
-    try:
-        if any(True for _ in os.scandir(spool.todo_dir)):
-            return False
-    except OSError:
-        pass
-    if _lease_files(spool):
-        return False
-    return True
+    return not _listdir(spool.todo_dir) and not _lease_files(spool)
 
 
 def _claim_next(
-    spool: Spool,
-    worker_id: str,
-    now: float,
-    backlog: Optional[List[str]] = None,
+    spool: Spool, worker_id: str, now: float, backlog: List[str]
 ) -> Optional[str]:
-    """Claim the next claimable todo token, if any.
-
-    ``backlog`` (a caller-held list of candidate keys, most recent
-    scan first-out) amortises the sorted directory scan across claims;
-    without one, every call scans fresh.
-    """
-    if backlog is None:
-        backlog = []
+    """Claim the next claimable todo token, if any."""
     if not backlog:
-        try:
-            names = sorted(os.listdir(spool.todo_dir), reverse=True)
-        except OSError:
-            return None
-        backlog.extend(names)  # reverse-sorted: pop() yields key order
+        # reverse-sorted: pop() yields key order
+        backlog.extend(sorted(_listdir(spool.todo_dir), reverse=True))
     while backlog:
         key = backlog.pop()
-        if key.endswith(".tmp"):
-            continue
         if is_quarantined(spool, key):
-            try:
-                os.unlink(spool.todo_dir / key)
-            except OSError:
-                pass
-            continue
-        if claim_cell(spool, key, worker_id, now):
+            _unlink(spool.todo_dir / key)
+        elif claim_cell(spool, key, worker_id, now):
             return key
     return None
 
 
 def _work_one(
-    spool: Spool,
-    cache: ResultCache,
-    key: str,
-    worker_id: str,
-    stats: WorkerStats,
+    spool: Spool, cache: ResultCache, key: str, worker_id: str, stats: SweepStats
 ) -> None:
     """Execute one claimed cell through its terminal outcome."""
     # Already committed (resume re-queued it unnecessarily, or a racing
     # duplicate finished first): drop the lease and move on.
     if cache.get_key(key) is not None:
         release_lease(spool, key, worker_id)
-        stats.already_done += 1
+        stats.cache_hits += 1
         return
-    attempts_before = failure_count(spool, key)
-    if attempts_before >= spool.max_attempts:
-        quarantine_cell(spool, key, worker_id)
-        release_lease(spool, key, worker_id)
-        stats.quarantined += 1
-        append_telemetry(
-            spool,
-            {"record": "cell_quarantined", "cache_key": key,
-             "worker": worker_id, "attempts": attempts_before},
-        )
-        return
-    heartbeat = _LeaseHeartbeat(spool, key, worker_id)
-    heartbeat.start()
+    stop_heartbeat = _start_heartbeat(spool, key, worker_id)
     t0 = _metrics.clock()
     try:
         # Loading is inside the failure envelope: a corrupt/truncated
         # cell pickle is a failed attempt that ends in quarantine, not
         # a crashed worker.
         cell = spool.load_cell(key)
-        result = execute_spooled_cell(cell, spool.runner)
-    except Exception as exc:
-        heartbeat.stop()
-        attempts = record_failure(spool, key, repr(exc), worker_id)
-        stats.failed += 1
-        append_telemetry(
-            spool,
-            {"record": "attempt_failed", "cache_key": key,
-             "worker": worker_id, "attempt": attempts,
-             "error": clip_error(repr(exc))},
+        result = (
+            synthetic_result(cell) if spool.runner == "synthetic"
+            else run_cell(cell)
         )
-        if attempts >= spool.max_attempts:
-            quarantine_cell(spool, key, worker_id)
+    except Exception as exc:
+        stop_heartbeat()
+        if fail_attempt(spool, key, repr(exc), worker_id):
             release_lease(spool, key, worker_id)
             stats.quarantined += 1
         else:
             release_to_todo(spool, key, worker_id)
-            time.sleep(backoff_delay(attempts))
+            stats.retries += 1
+            time.sleep(backoff_delay(failure_count(spool, key)))
         return
     wall = _metrics.clock() - t0
-    heartbeat.stop()
-    if heartbeat.lost:
-        stats.leases_lost += 1
+    stop_heartbeat()
     # Two-phase checksummed commit: temp file + digest + rename into
-    # the content-addressed cache.  Idempotent — a racing duplicate
-    # writes the same bytes under the same key.
+    # the content-addressed cache.  Idempotent — a racing duplicate, or
+    # this worker if a peer reclaimed its lease meanwhile, writes the
+    # same bytes under the same key.
     cache.put(cell, result)
     release_lease(spool, key, worker_id)
-    stats.committed += 1
-    append_telemetry(
-        spool,
-        {"record": "cell_committed", "cache_key": key,
-         "worker": worker_id, "pid": os.getpid(),
-         "wall_seconds": round(wall, 6),
-         "attempts": failure_count(spool, key) + 1,
-         "lease_lost": heartbeat.lost},
+    emit(
+        spool.telemetry_path,
+        cell_record(
+            key, cell, "executed", wall, os.getpid(),
+            failure_count(spool, key) + 1, stats.count_executed(result),
+        ),
     )
 
 
@@ -829,13 +639,33 @@ def _work_one(
 
 @dataclass
 class _GroupAggregate:
-    """Per-protocol streaming summary (bounded memory)."""
+    """Streaming summary of one group of cells (bounded memory)."""
 
     cells: int = 0
     completed: int = 0
     transfer_time: QuantileSketch = field(default_factory=QuantileSketch)
     goodput: QuantileSketch = field(default_factory=QuantileSketch)
     jain_goodput: StreamingJain = field(default_factory=StreamingJain)
+
+    def add(self, transfer_time: float, goodput: float, completed: bool) -> None:
+        self.cells += 1
+        self.completed += completed
+        self.transfer_time.insert(transfer_time)
+        self.goodput.insert(goodput)
+        self.jain_goodput.add(goodput)
+
+    def summary(self) -> Dict[str, Any]:
+        out: Dict[str, Any] = {
+            "cells": self.cells,
+            "completed": self.completed,
+            "jain_goodput": self.jain_goodput.value(),
+        }
+        if self.cells:
+            for name, sketch in (
+                ("transfer_time", self.transfer_time), ("goodput_bps", self.goodput)
+            ):
+                out[name] = {"p50": sketch.p50(), "p99": sketch.p99()}
+        return out
 
 
 class SweepAggregate:
@@ -844,76 +674,51 @@ class SweepAggregate:
     Each committed cell contributes one ``(transfer_time, goodput)``
     observation (workload cells: mean FCT and aggregate goodput) to a
     global and a per-protocol Greenwald-Khanna sketch plus a streaming
-    Jain fairness accumulator, so aggregate memory is O(sketch size)
-    regardless of sweep size.  ``sketch_entries`` is the bounded-memory
-    evidence the acceptance test pins.
+    Jain accumulator, so memory is O(sketch size) whatever the sweep's.
     """
 
     def __init__(self) -> None:
-        self.cells = 0
-        self.completed = 0
         self.quarantined = 0
         self.total = _GroupAggregate()
         self.groups: Dict[str, _GroupAggregate] = {}
+
+    @property
+    def cells(self) -> int:
+        return self.total.cells
+
+    @property
+    def completed(self) -> int:
+        return self.total.completed
 
     def fold(self, protocol: str, result: CellResult) -> None:
         if isinstance(result, WorkloadRunResult):
             transfer_time = result.mean_fct
             goodput = (
                 result.total_bytes * 8.0 / result.duration
-                if result.duration > 0.0
-                else 0.0
+                if result.duration > 0.0 else 0.0
             )
-            completed = result.completed
         else:
-            transfer_time = result.transfer_time
-            goodput = result.goodput_bps
-            completed = result.completed
-        self.cells += 1
-        if completed:
-            self.completed += 1
+            transfer_time, goodput = result.transfer_time, result.goodput_bps
         group = self.groups.setdefault(protocol, _GroupAggregate())
         for agg in (self.total, group):
-            agg.cells += 1
-            if completed:
-                agg.completed += 1
-            agg.transfer_time.insert(transfer_time)
-            agg.goodput.insert(goodput)
-            agg.jain_goodput.add(goodput)
+            agg.add(transfer_time, goodput, result.completed)
 
     def sketch_entries(self) -> int:
         """Total stored summary entries across every sketch."""
-        total = len(self.total.transfer_time) + len(self.total.goodput)
-        for group in self.groups.values():
-            total += len(group.transfer_time) + len(group.goodput)
-        return total
+        return sum(
+            len(agg.transfer_time) + len(agg.goodput)
+            for agg in (self.total, *self.groups.values())
+        )
 
     def summary(self) -> Dict[str, Any]:
-        def _group(agg: _GroupAggregate) -> Dict[str, Any]:
-            out: Dict[str, Any] = {
-                "cells": agg.cells,
-                "completed": agg.completed,
-                "jain_goodput": agg.jain_goodput.value(),
-            }
-            if agg.cells:
-                out["transfer_time"] = {
-                    "p50": agg.transfer_time.p50(),
-                    "p99": agg.transfer_time.p99(),
-                }
-                out["goodput_bps"] = {
-                    "p50": agg.goodput.p50(),
-                    "p99": agg.goodput.p99(),
-                }
-            return out
-
         return {
             "cells": self.cells,
             "completed": self.completed,
             "quarantined": self.quarantined,
             "sketch_entries": self.sketch_entries(),
-            "total": _group(self.total),
+            "total": self.total.summary(),
             "protocols": {
-                name: _group(group)
+                name: group.summary()
                 for name, group in sorted(self.groups.items())
             },
         }
@@ -931,32 +736,16 @@ class SweepAggregate:
 # ----------------------------------------------------------------------
 
 @dataclass
-class DistributedStats:
-    """Accounting of one :func:`coordinate` invocation."""
-
-    cells: int = 0
-    committed: int = 0
-    recovered: int = 0
-    quarantined: int = 0
-    corrupt_entries: int = 0
-    reclaimed: int = 0
-    requeued: int = 0
-    workers_spawned: int = 0
-    workers_respawned: int = 0
-    complete: bool = False
-
-
-@dataclass
 class DistributedResult:
     """What :func:`coordinate` hands back."""
 
-    stats: DistributedStats
-    #: Results aligned with the plan (``collect="results"``); slots of
-    #: quarantined cells are None.  Empty in aggregate mode.
+    #: Coordinator accounting; ``stats.quarantine`` is the skip-list.
+    stats: SweepStats
+    #: Plan-ordered results (``collect="results"``), None per
+    #: quarantined cell; empty in aggregate mode.
     results: List[Optional[CellResult]] = field(default_factory=list)
     #: Streaming aggregate (``collect="aggregate"``), else None.
     aggregate: Optional[SweepAggregate] = None
-    quarantine: List[Dict[str, Any]] = field(default_factory=list)
 
 
 def _repro_env() -> Dict[str, str]:
@@ -965,11 +754,9 @@ def _repro_env() -> Dict[str, str]:
 
     src_dir = str(Path(repro.__file__).resolve().parent.parent)
     env = dict(os.environ)
-    existing = env.get("PYTHONPATH", "")
-    if src_dir not in existing.split(os.pathsep):
-        env["PYTHONPATH"] = (
-            src_dir + (os.pathsep + existing if existing else "")
-        )
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src_dir, env.get("PYTHONPATH")) if p
+    )
     return env
 
 
@@ -980,10 +767,8 @@ def spawn_worker(spool: Spool, worker_id: str) -> "subprocess.Popen[bytes]":
         "worker", str(spool.root), "--worker-id", worker_id,
     ]
     return subprocess.Popen(
-        cmd,
-        env=_repro_env(),
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
+        cmd, env=_repro_env(),
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
     )
 
 
@@ -993,34 +778,30 @@ def coordinate(
     workers: int = 0,
     collect: str = "results",
     on_result: Optional[Callable[[str, CellResult], None]] = None,
-    poll_interval: float = DEFAULT_POLL_INTERVAL,
     runner: str = "simulation",
     ttl: float = DEFAULT_LEASE_TTL,
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-    respawn: bool = True,
+    max_attempts: int = DEFAULT_RETRIES + 1,
     max_seconds: Optional[float] = None,
 ) -> DistributedResult:
     """Drive a spool to completion, streaming results as they commit.
 
     Stateless and crash-resumable: every decision re-derives from the
-    spool, so killing the coordinator and calling :func:`coordinate`
-    again on the same directory recovers committed cells bit-
-    identically from the cache, reclaims expired leases, re-queues
-    lost cells, and continues.
+    spool, so calling :func:`coordinate` again on the directory of a
+    killed coordinator recovers committed cells from the cache,
+    reclaims expired leases, re-queues lost cells, and continues.
 
-    ``collect="results"`` assembles the plan-ordered result list (like
-    :func:`repro.experiments.parallel.execute_cells`);
+    ``collect="results"`` assembles the plan-ordered result list;
     ``collect="aggregate"`` folds every committed cell into a
-    :class:`SweepAggregate` and never materialises the matrix — the
-    bounded-memory mode for 10k+-cell designs.  ``on_result`` fires
-    once per cell either way, as commits are observed.
+    :class:`SweepAggregate` and never materialises the matrix.
+    ``on_result`` fires once per distinct cell either way, as commits
+    are observed.
 
-    ``workers`` > 0 spawns that many worker subprocesses (respawned on
-    death while unfinished cells remain, unless ``respawn=False``); 0
-    coordinates workers started elsewhere — including on other hosts
-    sharing the spool directory.  When subprocesses cannot be spawned
-    at all, the coordinator degrades to draining the spool in-process
-    with a warning.
+    ``workers`` > 0 spawns that many worker subprocesses; 0 coordinates
+    workers started elsewhere.  A spawned worker that exits while cells
+    remain has its leases reclaimed at once (its exit is observed, so
+    there is no TTL to wait out) and is replaced.  When subprocesses
+    cannot be spawned at all, the coordinator drains the spool
+    in-process, with a warning.
     """
     if collect not in ("results", "aggregate"):
         raise ValueError("collect must be 'results' or 'aggregate'")
@@ -1031,129 +812,112 @@ def coordinate(
         )
     else:
         spool = Spool.open(spool_root)
-    stats = DistributedStats(cells=len(spool.keys))
-    stats.requeued += ensure_tokens(spool)
+    stats = SweepStats(cells=len(spool.keys), jobs=max(1, workers))
     cache = spool.cache()
     aggregate = SweepAggregate() if collect == "aggregate" else None
     results_by_key: Dict[str, CellResult] = {}
-    append_telemetry(
-        spool,
-        {"record": "coordinator_start", "cells": len(spool.keys),
-         "workers": workers, "collect": collect,
-         "format": RESULTS_FORMAT_VERSION},
-    )
+    started = _metrics.clock()
+    emit(spool.telemetry_path, sweep_start_record(len(spool.keys), workers))
 
-    procs: List["subprocess.Popen[bytes]"] = []
+    children: Dict[str, "subprocess.Popen[bytes]"] = {}
     inline = False
     try:
         for i in range(workers):
-            procs.append(spawn_worker(spool, f"w{i}"))
-            stats.workers_spawned += 1
-    except (OSError, PermissionError) as exc:
-        for proc in procs:
+            children[f"w{i}"] = spawn_worker(spool, f"w{i}")
+    except OSError as exc:
+        for proc in children.values():
             proc.terminate()
-        procs = []
-        inline = workers > 0
-        if inline:
-            warnings.warn(
-                f"cannot spawn worker processes ({exc!r}); coordinator "
-                "will drain the spool in-process",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+        children = {}
+        inline = True
+        warnings.warn(
+            f"cannot spawn worker processes ({exc!r}); coordinator "
+            "will drain the spool in-process",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    stats.workers_spawned = len(children)
 
-    pending = set(spool.keys)
-    folded: set = set()
+    #: Cells not yet observed terminal, in plan order.
+    pending = dict.fromkeys(spool.keys)
     deadline = time.time() + max_seconds if max_seconds is not None else None
 
     def _observe_progress() -> None:
-        committed, quarantined = terminal_keys(spool)
-        for key in spool.keys:
-            if key in folded or key not in pending:
-                continue
-            if key in quarantined:
-                pending.discard(key)
-                folded.add(key)
+        quarantined = set(_listdir(spool.quarantine_dir))
+        for key in list(pending):
+            if f"{key}.json" in quarantined:
+                del pending[key]
                 stats.quarantined += 1
                 continue
-            if key not in committed:
-                continue
-            result = cache.get_key(key)
+            result = cache.get_key(key) if _committed(spool, key) else None
             if result is None:
-                continue  # torn/corrupt entry: set aside, re-queued below
-            pending.discard(key)
-            folded.add(key)
+                # Not committed yet — or torn/corrupt: set aside by the
+                # cache, re-queued by the self-healing pass below.
+                continue
+            del pending[key]
             stats.committed += 1
             if aggregate is not None:
-                try:
-                    protocol = result.protocol
-                except AttributeError:
-                    protocol = "?"
-                aggregate.fold(protocol, result)
-            elif collect == "results":
+                aggregate.fold(getattr(result, "protocol", "?"), result)
+            else:
                 results_by_key[key] = result
             if on_result is not None:
                 on_result(key, result)
 
     try:
         while True:
+            # Exits are sampled *before* the scan: a worker that left
+            # because the spool drained has committed everything the
+            # scan is about to see, so it is never needlessly replaced.
+            exited = [n for n, proc in children.items() if proc.poll() is not None]
             _observe_progress()
-            new_corrupt = cache.corrupt - stats.corrupt_entries
-            if new_corrupt:
-                stats.corrupt_entries = cache.corrupt
-                append_telemetry(
-                    spool,
-                    {"record": "corrupt_entries",
-                     "keys": cache.corrupt_keys[-new_corrupt:]},
-                )
+            stats.corrupt_entries = cache.corrupt
             if not pending:
                 stats.complete = True
                 break
-            if deadline is not None and time.time() >= deadline:
+            now = time.time()
+            if deadline is not None and now >= deadline:
                 break
-            stats.reclaimed += reclaim_expired(
-                spool, time.time(), "coordinator"
-            )
-            stats.requeued += ensure_tokens(spool)
+            stats.reclaimed += reclaim_expired(spool, now, "coordinator")
+            for name in exited:
+                status = children.pop(name).returncode
+                for lease in _lease_files(spool):
+                    if lease.name.endswith(f".{name}.lease"):
+                        stats.reclaimed += _reclaim(
+                            spool, lease, name,
+                            f"worker exited with status {status}",
+                            "coordinator",
+                        )
+                fresh = f"w{stats.workers_spawned}"
+                children[fresh] = spawn_worker(spool, fresh)
+                stats.workers_spawned += 1
+            stats.requeued += _requeue_lost(spool, list(pending))
             if inline:
-                worker_stats = worker_loop(
-                    spool.root, worker_id="coordinator-inline",
-                    poll_interval=poll_interval, max_seconds=max_seconds,
-                )
-                stats.reclaimed += worker_stats.reclaimed
-            elif procs and respawn:
-                for i, proc in enumerate(procs):
-                    if proc.poll() is not None and pending:
-                        procs[i] = spawn_worker(spool, f"w{i}r")
-                        stats.workers_respawned += 1
-            time.sleep(poll_interval)
+                stats.reclaimed += worker_loop(
+                    spool.root, "coordinator-inline", max_seconds=max_seconds,
+                ).reclaimed
+            else:
+                time.sleep(POLL_INTERVAL)
     finally:
-        for proc in procs:
+        for proc in children.values():
+            # A drained spool sends its workers home; otherwise stop them.
+            if not stats.complete:
+                proc.terminate()
             try:
                 proc.wait(timeout=max(5.0, 2.0 * spool.ttl))
             except subprocess.TimeoutExpired:
-                proc.terminate()
-                try:
-                    proc.wait(timeout=5.0)
-                except subprocess.TimeoutExpired:
-                    proc.kill()
-        quarantine = quarantine_entries(spool)
-        append_telemetry(
-            spool,
-            {"record": "coordinator_end", "committed": stats.committed,
-             "quarantined": stats.quarantined,
-             "reclaimed": stats.reclaimed, "requeued": stats.requeued,
-             "corrupt_entries": stats.corrupt_entries,
-             "complete": stats.complete},
+                proc.kill()
+        stats.quarantine = quarantine_entries(spool)
+        # Every recorded failure was re-queued, except each quarantined
+        # cell's last one.
+        failures = sum(
+            name.endswith(".json") for name in _listdir(spool.failures_dir)
         )
+        stats.retries = max(0, failures - len(stats.quarantine))
+        emit(spool.telemetry_path, sweep_end_record(stats, started))
 
     results: List[Optional[CellResult]] = []
     if collect == "results":
         results = [results_by_key.get(key) for key in spool.keys]
-    return DistributedResult(
-        stats=stats, results=results, aggregate=aggregate,
-        quarantine=quarantine,
-    )
+    return DistributedResult(stats=stats, results=results, aggregate=aggregate)
 
 
 def run_distributed_sweep(
@@ -1162,9 +926,6 @@ def run_distributed_sweep(
     workers: int = 2,
     collect: str = "results",
     runner: str = "simulation",
-    ttl: float = DEFAULT_LEASE_TTL,
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-    poll_interval: float = DEFAULT_POLL_INTERVAL,
 ) -> DistributedResult:
     """One-call convenience: spool ``cells``, run workers, coordinate.
 
@@ -1173,15 +934,11 @@ def run_distributed_sweep(
     """
     if spool_root is not None:
         return coordinate(
-            spool_root, cells, workers=workers, collect=collect,
-            runner=runner, ttl=ttl, max_attempts=max_attempts,
-            poll_interval=poll_interval,
+            spool_root, cells, workers=workers, collect=collect, runner=runner,
         )
     with tempfile.TemporaryDirectory(prefix="repro-spool-") as tmp:
         return coordinate(
-            Path(tmp) / "spool", cells, workers=workers, collect=collect,
-            runner=runner, ttl=ttl, max_attempts=max_attempts,
-            poll_interval=poll_interval,
+            Path(tmp), cells, workers=workers, collect=collect, runner=runner,
         )
 
 
@@ -1189,29 +946,53 @@ def run_distributed_sweep(
 # CLI — the multi-host entry points
 # ----------------------------------------------------------------------
 
-def _cmd_worker(args: Any) -> int:
-    stats = worker_loop(
-        args.spool,
-        worker_id=args.worker_id,
-        poll_interval=args.poll_interval,
-        max_cells=args.max_cells,
-        max_seconds=args.max_seconds,
-    )
-    print(
-        f"worker {stats.worker_id}: committed={stats.committed} "
-        f"failed={stats.failed} quarantined={stats.quarantined} "
-        f"reclaimed={stats.reclaimed}"
-    )
-    return 0
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    import argparse
 
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.experiments.distributed",
+        description="Sweep executor workers and coordinator over a shared "
+                    "spool directory.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    worker = sub.add_parser("worker", help="run one worker over a spool")
+    worker.add_argument("--worker-id", default=None)
+    worker.add_argument("--max-cells", type=int, default=None)
+    coord = sub.add_parser("coordinate", help="coordinate a spool to completion")
+    coord.add_argument("--workers", type=int, default=0)
+    coord.add_argument(
+        "--collect", choices=("results", "aggregate"), default="aggregate"
+    )
+    coord.add_argument("--output", default=None)
+    status = sub.add_parser("status", help="print spool progress")
+    for command in (worker, coord, status):
+        command.add_argument("spool")
+    for command in (worker, coord):
+        command.add_argument("--max-seconds", type=float, default=None)
+    args = parser.parse_args(argv)
 
-def _cmd_coordinate(args: Any) -> int:
+    if args.command == "worker":
+        stats = worker_loop(
+            args.spool, args.worker_id, args.max_cells, args.max_seconds
+        )
+        print(
+            f"worker: committed={stats.executed} retries={stats.retries} "
+            f"quarantined={stats.quarantined} reclaimed={stats.reclaimed}"
+        )
+        return 0
+    if args.command == "status":
+        spool = Spool.open(args.spool)
+        committed, quarantined = terminal_keys(spool)
+        print(
+            f"spool {spool.root}: cells={len(spool.keys)} "
+            f"committed={len(committed)} quarantined={len(quarantined)} "
+            f"queued={len(_listdir(spool.todo_dir))} "
+            f"leased={len(_lease_files(spool))} runner={spool.runner} "
+            f"ttl={spool.ttl:g}s"
+        )
+        return 0
     result = coordinate(
-        args.spool,
-        workers=args.workers,
-        collect=args.collect,
-        poll_interval=args.poll_interval,
-        respawn=not args.no_respawn,
+        args.spool, workers=args.workers, collect=args.collect,
         max_seconds=args.max_seconds,
     )
     stats = result.stats
@@ -1222,81 +1003,12 @@ def _cmd_coordinate(args: Any) -> int:
     )
     if args.output:
         payload: Dict[str, Any] = {
-            "stats": {
-                "cells": stats.cells,
-                "committed": stats.committed,
-                "quarantined": stats.quarantined,
-                "reclaimed": stats.reclaimed,
-                "requeued": stats.requeued,
-                "corrupt_entries": stats.corrupt_entries,
-                "complete": stats.complete,
-            },
-            "quarantine": result.quarantine,
+            "stats": stats.counters(), "quarantine": stats.quarantine,
         }
         if result.aggregate is not None:
             payload["aggregate"] = result.aggregate.summary()
-        _atomic_write_json(Path(args.output), payload)
+        _write_json(Path(args.output), payload)
     return 0 if stats.complete else 1
-
-
-def _cmd_status(args: Any) -> int:
-    spool = Spool.open(args.spool)
-    committed, quarantined = terminal_keys(spool)
-    try:
-        queued = len(os.listdir(spool.todo_dir))
-    except OSError:
-        queued = 0
-    leased = len(_lease_files(spool))
-    print(
-        f"spool {spool.root}: cells={len(spool.keys)} "
-        f"committed={len(committed)} quarantined={len(quarantined)} "
-        f"queued={queued} leased={leased} runner={spool.runner} "
-        f"ttl={spool.ttl:g}s"
-    )
-    return 0
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments.distributed",
-        description="Distributed sweep executor over a shared spool directory.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    worker = sub.add_parser("worker", help="run one worker over a spool")
-    worker.add_argument("spool")
-    worker.add_argument("--worker-id", default=None)
-    worker.add_argument(
-        "--poll-interval", type=float, default=DEFAULT_POLL_INTERVAL
-    )
-    worker.add_argument("--max-cells", type=int, default=None)
-    worker.add_argument("--max-seconds", type=float, default=None)
-    worker.set_defaults(func=_cmd_worker)
-
-    coord = sub.add_parser(
-        "coordinate", help="coordinate a spool to completion"
-    )
-    coord.add_argument("spool")
-    coord.add_argument("--workers", type=int, default=0)
-    coord.add_argument(
-        "--collect", choices=("results", "aggregate"), default="aggregate"
-    )
-    coord.add_argument(
-        "--poll-interval", type=float, default=DEFAULT_POLL_INTERVAL
-    )
-    coord.add_argument("--no-respawn", action="store_true")
-    coord.add_argument("--max-seconds", type=float, default=None)
-    coord.add_argument("--output", default=None)
-    coord.set_defaults(func=_cmd_coordinate)
-
-    status = sub.add_parser("status", help="print spool progress")
-    status.add_argument("spool")
-    status.set_defaults(func=_cmd_status)
-
-    args = parser.parse_args(argv)
-    return int(args.func(args))
 
 
 if __name__ == "__main__":  # pragma: no cover

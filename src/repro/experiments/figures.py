@@ -268,7 +268,7 @@ def handover_sweep(
 
     Sweeps the failure instant of :func:`wifi_to_lte_handover` for
     MPQUIC against single-path QUIC pinned to the failing (WiFi) path.
-    Cells run through the parallel engine with the fault timeline as
+    Cells run through the sweep executor with the fault timeline as
     part of their cache identity, so re-running the sweep with the same
     timelines is a pure cache hit while a changed failure instant (or
     mode) re-executes only the affected cells.
@@ -424,7 +424,7 @@ def workload_study(config: SweepConfig = SweepConfig()) -> Dict[str, List]:
     Sweeps the offered load (arrival rate) for a fixed mice-and-
     elephants workload across the protocol matrix, every cell a
     hybrid-fidelity :func:`repro.experiments.workload.run_workload`
-    through the parallel engine (so cells cache and crash-isolate like
+    through the sweep executor (so cells cache and crash-isolate like
     any sweep).  Prints tail FCT percentiles, Jain's fairness over
     per-flow goodput and bottleneck queue occupancy per (rate,
     protocol) cell.
@@ -480,9 +480,9 @@ def workload_study(config: SweepConfig = SweepConfig()) -> Dict[str, List]:
 def distributed_cdf_study(config: SweepConfig = SweepConfig()) -> Dict[str, object]:
     """Streamed CDFs from a distributed sweep (bounded memory).
 
-    The consumption path for :mod:`repro.experiments.distributed`'s
+    The consumption path for the spool coordinator's
     ``collect="aggregate"`` mode: the class sweep runs across
-    independent worker processes over a spool directory, every
+    worker processes over a spool directory, every
     committed cell folds into Greenwald-Khanna sketches as it lands,
     and the transfer-time CDF plus per-protocol quantile table are
     rendered *straight from the sketches* — no full result matrix is
@@ -584,7 +584,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if overrides:
         config = replace(config, **overrides)
     # The fig* entry points take only a SweepConfig, so the execution
-    # knobs travel via the environment the parallel engine reads.
+    # knobs travel via the environment the sweep executor reads.
     if args.jobs is not None:
         os.environ["REPRO_JOBS"] = str(args.jobs)
     if args.no_cache:

@@ -1,50 +1,33 @@
-"""Parallel sweep execution engine with a persistent result cache.
+"""The sweep executor's front: cells, result cache and ``execute_cells``.
 
 The paper's evaluation is embarrassingly parallel: each class sweep is
 a grid of independent, deterministic simulations — one cell per
 ``(scenario, protocol, initial_interface)``, carrying its own seed.
-This module decomposes a sweep into :class:`SweepCell` work units, fans
-them out over a ``ProcessPoolExecutor`` and memoises finished cells in
-a content-addressed on-disk cache, so regenerating figures or
-benchmarks at a scale that was already run is a pure cache hit.
+This module decomposes a sweep into :class:`SweepCell` work units,
+memoises finished cells in a content-addressed on-disk cache, and runs
+the missing ones through the repo's one executor:
+:func:`execute_cells` loops in-process for ``jobs == 1`` and otherwise
+hands the cells to the spool protocol of
+:mod:`repro.experiments.distributed` — ``jobs`` local worker processes
+over a temporary spool directory.
 
-Guarantees:
+* **Bit-identical results.**  Every path makes the very same
+  :func:`repro.experiments.runner.run_bulk` call the serial loop makes;
+  only the order of execution changes, and results are re-assembled in
+  cell order.
+* **Content-addressed caching.**  The key hashes everything that
+  determines a run's outcome (paths, file size, protocol, interface,
+  repetitions, seed, endpoint configs, fault timeline, workload) plus
+  :data:`RESULTS_FORMAT_VERSION`.
+* **Crash isolation and resume.**  A raising cell, or a worker dying
+  mid-cell, is a failed attempt of that cell alone, retried with
+  bounded backoff and quarantined into a reported skip-list when it
+  keeps failing; every finished cell is persisted *immediately*, so an
+  interrupted sweep resumes from disk.
 
-* **Bit-identical results.**  A cell is executed by the very same
-  :func:`repro.experiments.runner.run_bulk` call the serial path makes,
-  with the same seeds and the same median selection; only the order of
-  execution changes, and results are re-assembled in cell order.
-* **Content-addressed caching.**  The cache key hashes everything that
-  determines a run's outcome: the scenario's path parameters, the file
-  size, protocol and initial interface, repetitions and base seed, the
-  full QUIC/TCP endpoint configs, and a results-format version bumped
-  whenever the stored schema (or simulation semantics) changes.
-
-The engine is crash-isolated and resumable: a worker process dying
-(``BrokenProcessPool``) or a cell raising is retried under a fresh pool
-with bounded backoff; cells that keep failing are quarantined into a
-reported skip-list instead of sinking the sweep; and every finished
-cell is persisted to the cache *immediately*, so an interrupted sweep
-resumes from disk instead of restarting.
-
-Environment knobs (also surfaced as ``--jobs`` / ``--no-cache`` on the
-``repro.experiments.figures`` CLI):
-
-* ``REPRO_JOBS``  — worker processes (default ``os.cpu_count()``;
-  ``1`` forces in-process serial execution).
-* ``REPRO_CACHE`` — ``off``/``0``/``false`` disables the on-disk cache.
-* ``REPRO_CACHE_DIR`` — cache root (default ``results/cache``).
-* ``REPRO_RETRIES`` — retry attempts per failing cell (default 2).
-* ``REPRO_QUARANTINE_FILE`` — write the quarantine report (JSON) here
-  after every :func:`execute_cells` call.
-* ``REPRO_SWEEP_TELEMETRY`` — stream one JSONL record per finished
-  cell (runtime, cache hit/miss, attempts, worker pid, events/sec) to
-  this sidecar file; see :class:`SweepTelemetry`.
-* ``REPRO_PROGRESS`` — force the live progress/ETA line on (it is
-  otherwise shown only when stderr is a terminal).
-* ``REPRO_CHAOS_CRASH_KEY`` / ``REPRO_CHAOS_MARKER_DIR`` /
-  ``REPRO_CHAOS_MODE`` — fault-drill hooks for CI; see
-  :func:`_chaos_crash_requested`.
+docs/performance.md lists the ``REPRO_*`` environment knobs (§1) and
+the telemetry schema (§7); :func:`_chaos_crash_requested` describes
+the CI drill hooks.
 """
 
 from __future__ import annotations
@@ -56,11 +39,9 @@ import sys
 import tempfile
 import time
 import warnings
-from concurrent.futures import as_completed, ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, TextIO, Tuple
+from typing import Any, Dict, List, Optional, Sequence, TextIO, Tuple, Union
 
 from repro.expdesign.parameters import Scenario
 from repro.obs import metrics as _metrics
@@ -81,6 +62,9 @@ from repro.tcp.config import TcpConfig
 
 #: A cell's result: closed-loop bulk transfer or open-loop workload.
 CellResult = Any
+
+#: A filesystem path argument.
+PathArg = Union[str, "os.PathLike[str]"]
 
 #: Bump when the cached result schema or the simulation semantics
 #: change, invalidating every previously stored result.
@@ -106,13 +90,11 @@ MAX_QUARANTINE_ERROR_CHARS = 1000
 MAX_QUARANTINE_ERRORS = 5
 
 
-def backoff_delay(round_no: int) -> float:
-    """Bounded-exponential retry delay for round ``round_no`` (>= 1).
-
-    Shared by the in-process retry loop and the distributed workers,
-    so both back off identically.
-    """
-    return min(RETRY_BACKOFF_BASE * 2 ** (round_no - 1), RETRY_BACKOFF_MAX)
+def backoff_delay(attempt: int) -> float:
+    """Bounded-exponential delay before retrying after failed attempt
+    ``attempt`` (>= 1) — the in-process loop and the spool workers back
+    off identically."""
+    return min(RETRY_BACKOFF_BASE * 2 ** (attempt - 1), RETRY_BACKOFF_MAX)
 
 
 def clip_error(error: str) -> str:
@@ -123,6 +105,29 @@ def clip_error(error: str) -> str:
         error[:MAX_QUARANTINE_ERROR_CHARS]
         + f"... [clipped {len(error) - MAX_QUARANTINE_ERROR_CHARS} chars]"
     )
+
+
+def atomic_write(path: Path, data: bytes) -> None:
+    """Commit ``data`` to ``path`` through a temp file + rename — the
+    sweep harness's one two-phase write (cache entries, spooled cells,
+    failure and quarantine records, reports): concurrent writers or a
+    killed process never leave a truncated file behind."""
+    try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    except FileNotFoundError:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
 
 #: Default cache root, relative to the working directory.
 DEFAULT_CACHE_DIR = os.path.join("results", "cache")
@@ -184,8 +189,22 @@ class SweepCell:
         }
 
     def cache_key(self) -> str:
-        canonical = json.dumps(self.key_material(), sort_keys=True)
-        return hashlib.sha256(canonical.encode()).hexdigest()
+        """SHA-256 of the canonical key material, hashed once per cell.
+
+        The digest is memoised on the (frozen) cell, so the cache
+        lookup, the commit, telemetry and quarantine entries of one
+        sweep share a single hash.  The memo never rides along in a
+        pickle: a spooled cell is re-hashed for real when loaded.
+        """
+        key: Optional[str] = self.__dict__.get("_key")
+        if key is None:
+            canonical = json.dumps(self.key_material(), sort_keys=True)
+            key = hashlib.sha256(canonical.encode()).hexdigest()
+            object.__setattr__(self, "_key", key)
+        return key
+
+    def __getstate__(self) -> Dict[str, Any]:
+        return {k: v for k, v in self.__dict__.items() if k != "_key"}
 
 
 def plan_class_sweep(
@@ -281,7 +300,8 @@ def _chaos_crash_requested(cell: SweepCell) -> bool:
 
 
 def run_cell(cell: SweepCell) -> CellResult:
-    """Execute one cell — the worker entry point (must be picklable)."""
+    """Execute one cell: what the in-process loop and every spool
+    worker call."""
     if _chaos_crash_requested(cell):
         if os.environ.get("REPRO_CHAOS_MODE") == "raise":  # repro: allow[sweep-purity] chaos hook is crash-only, never shapes results
             raise RuntimeError("chaos drill: simulated cell failure")
@@ -307,19 +327,6 @@ def run_cell(cell: SweepCell) -> CellResult:
         timeout=cell.timeout,
         timeline=cell.timeline,
     )
-
-
-def _run_cell_timed(cell: SweepCell) -> Tuple[CellResult, float, int]:
-    """Worker entry with telemetry: ``(result, wall_seconds, worker_pid)``.
-
-    Timing wraps only the cell's own execution, so pool scheduling and
-    result pickling stay out of the per-cell runtime.  The result object
-    itself is untouched — cached entries remain bit-identical whether a
-    sweep ran with telemetry or without.
-    """
-    t0 = _metrics.clock()
-    result = run_cell(cell)
-    return result, _metrics.clock() - t0, os.getpid()
 
 
 # ----------------------------------------------------------------------
@@ -356,19 +363,7 @@ def result_from_dict(data: Dict) -> CellResult:
     if data.get("kind") == "workload":
         payload = {k: v for k, v in data.items() if k != "kind"}
         return WorkloadRunResult(**payload)
-    return BulkRunResult(
-        protocol=data["protocol"],
-        initial_interface=data["initial_interface"],
-        file_size=data["file_size"],
-        transfer_time=data["transfer_time"],
-        goodput_bps=data["goodput_bps"],
-        completed=data["completed"],
-        repetitions=data["repetitions"],
-        details=dict(data.get("details", {})),
-        rep_times=list(data.get("rep_times", [])),
-        rep_completed=list(data.get("rep_completed", [])),
-        failed_repetitions=data.get("failed_repetitions", 0),
-    )
+    return BulkRunResult(**data)
 
 
 # ----------------------------------------------------------------------
@@ -393,16 +388,14 @@ class ResultCache:
     Layout: ``<root>/<key[:2]>/<key>.json`` where ``key`` is the
     SHA-256 of the cell's canonical key material; each file stores the
     key material and a content digest alongside the result so entries
-    are self-describing and self-verifying.  Writes go through a temp
-    file + rename (two-phase commit), so concurrent writers (or an
-    interrupted run) never leave a truncated entry behind.
+    are self-describing and self-verifying, and is committed through
+    :func:`atomic_write`.
 
-    Reads are hardened: a truncated, garbage or digest-mismatched
-    entry counts as a *miss* with a ``RuntimeWarning``, never an
-    unhandled exception.  The corrupt file is moved aside to
-    ``<entry>.corrupt`` (so a fresh commit can land cleanly) and its
-    key is recorded in :attr:`corrupt_keys` as a quarantine candidate
-    for the caller's report.
+    Reads are hardened: a truncated, garbage, digest-less or
+    digest-mismatched entry counts as a *miss* with a
+    ``RuntimeWarning``, never an unhandled exception.  The corrupt file
+    is moved aside to ``<entry>.corrupt`` (so a fresh commit can land
+    cleanly) and its key recorded in :attr:`corrupt_keys`.
     """
 
     def __init__(self, root: os.PathLike) -> None:
@@ -452,8 +445,11 @@ class ResultCache:
         try:
             result_data = data["result"]
             stored = data.get("digest")
-            if stored is not None and stored != result_digest(result_data):
-                raise ValueError("content digest mismatch")
+            if stored != result_digest(result_data):
+                raise ValueError(
+                    "content digest mismatch" if stored
+                    else "no content digest"
+                )
             result = result_from_dict(result_data)
         except (KeyError, TypeError, ValueError) as exc:
             self._reject(key, path, str(exc) or type(exc).__name__)
@@ -463,24 +459,13 @@ class ResultCache:
         return result
 
     def put(self, cell: SweepCell, result: CellResult) -> None:
-        key = cell.cache_key()
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
         result_data = result_to_dict(result)
         payload = {"key_material": cell.key_material(),
                    "result": result_data,
                    "digest": result_digest(result_data)}
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(payload, fh)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        atomic_write(
+            self._path(cell.cache_key()), json.dumps(payload).encode()
+        )
 
 
 def cache_enabled() -> bool:
@@ -497,76 +482,209 @@ def default_cache() -> Optional[ResultCache]:
     return ResultCache(os.environ.get("REPRO_CACHE_DIR", DEFAULT_CACHE_DIR))
 
 
+def _env_int(name: str) -> Optional[int]:
+    """Integer value of environment variable ``name``; None when unset."""
+    raw = os.environ.get(name)
+    if not raw:
+        return None
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
+
+
 def resolve_jobs(jobs: Optional[int] = None) -> int:
     """Worker count: explicit arg > ``REPRO_JOBS`` > ``os.cpu_count()``."""
-    if jobs is not None:
-        return max(1, jobs)
-    env = os.environ.get("REPRO_JOBS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    if jobs is None:
+        jobs = _env_int("REPRO_JOBS")
+    if jobs is None:
+        return os.cpu_count() or 1
+    return max(1, jobs)
 
 
 def resolve_retries(retries: Optional[int] = None) -> int:
     """Retries per failing cell: explicit arg > ``REPRO_RETRIES`` > default."""
-    if retries is not None:
-        return max(0, retries)
-    env = os.environ.get("REPRO_RETRIES")
-    if env:
-        return max(0, int(env))
-    return DEFAULT_RETRIES
+    if retries is None:
+        retries = _env_int("REPRO_RETRIES")
+    if retries is None:
+        return DEFAULT_RETRIES
+    return max(0, retries)
 
 
 # ----------------------------------------------------------------------
-# Execution
+# Accounting, telemetry and the retry/quarantine policy: what the
+# in-process loop and the spool workers/coordinator share
 # ----------------------------------------------------------------------
 
 @dataclass
 class SweepStats:
-    """Accounting of one :func:`execute_cells` invocation."""
+    """Accounting of one sweep participant.
+
+    One type for :func:`execute_cells`, a spool worker and the spool
+    coordinator; a counter nobody in that role moves stays 0.
+    """
 
     cells: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
+    #: Cells run to a committed result by this process (for a
+    #: spool-backed :func:`execute_cells`: by its workers).
     executed: int = 0
     jobs: int = 1
     #: Sum of simulator events over executed (non-cached) cells.
     events_processed: int = 0
-    #: Cell attempts beyond the first (crash/exception recovery).
+    #: Failed attempts (exception, dead worker, expired lease) that
+    #: were re-queued rather than quarantined.
     retries: int = 0
-    #: Cells that exhausted every attempt and were skipped.
+    #: Cells that exhausted every attempt and were skipped ...
     quarantined: int = 0
-    #: Worker pools torn down by a crashed worker and rebuilt.
-    pool_restarts: int = 0
+    #: ... and their skip-list entries (see :func:`settle_failure`).
+    quarantine: List[Dict[str, Any]] = field(default_factory=list)
+    #: Coordinator: commits collected out of the spool's cache.
+    committed: int = 0
+    #: Leases taken back from dead or silent owners.
+    reclaimed: int = 0
+    #: Claim tokens re-created for cells found neither queued, leased
+    #: nor terminal (the spool's self-healing pass).
+    requeued: int = 0
+    #: Cache entries rejected as corrupt and set aside.
+    corrupt_entries: int = 0
+    #: Worker processes launched, respawns included.
+    workers_spawned: int = 0
+    #: Every cell reached a terminal state (False after an exception,
+    #: or a coordinator stopped by its ``max_seconds`` budget).
+    complete: bool = False
 
-    def merge(self, other: "SweepStats") -> None:
-        self.cells += other.cells
-        self.cache_hits += other.cache_hits
-        self.cache_misses += other.cache_misses
-        self.executed += other.executed
-        self.events_processed += other.events_processed
-        self.jobs = max(self.jobs, other.jobs)
-        self.retries += other.retries
-        self.quarantined += other.quarantined
-        self.pool_restarts += other.pool_restarts
+    def count_executed(self, result: CellResult) -> int:
+        """Account one executed cell; returns its simulator events."""
+        self.executed += 1
+        events = int(result.details.get("sim_events", 0))
+        self.events_processed += events
+        return events
+
+    def counters(self) -> Dict[str, Any]:
+        """The scalar counters (payload of ``sweep_end``/``worker_end``)."""
+        return {
+            name: value for name, value in vars(self).items()
+            if name != "quarantine"
+        }
 
 
-#: Stats of the most recent :func:`execute_cells` call (observability
-#: convenience for benchmarks and the CLI; also available by passing
-#: ``stats=`` explicitly).
-last_stats = SweepStats()
+#: The one telemetry vocabulary: every ``"record"`` value a sidecar
+#: line can carry, whoever wrote it (docs/performance.md §7 tabulates
+#: the fields).  ``cell`` is the *terminal* record — exactly one per
+#: cell, ``status`` ``cached``, ``executed`` or ``quarantined`` —
+#: preceded by one ``attempt_failed`` per failed attempt; a spool-backed
+#: :func:`execute_cells` nests its coordinator's ``sweep_start`` /
+#: ``sweep_end`` block inside its own.
+TELEMETRY_RECORDS = (
+    "sweep_start", "cell", "attempt_failed", "lease_reclaimed",
+    "worker_start", "worker_end", "sweep_end",
+)
 
-#: Quarantine entries of the most recent :func:`execute_cells` call.
-last_quarantine: List[Dict] = []
+
+def emit(path: Optional[PathArg], record: Dict[str, Any]) -> None:
+    """Append one JSONL telemetry record to ``path`` (no-op when None).
+
+    The one telemetry writer.  Each record is one line written by a
+    single ``os.write`` on an ``O_APPEND`` descriptor, which the kernel
+    makes *line-atomic*: threads, spool workers and coordinators sharing
+    a sidecar never interleave partial lines, a killed sweep leaves a
+    readable prefix, and successive sweeps accumulate in one file.
+    """
+    if path is None:
+        return
+    line = json.dumps(record, sort_keys=True) + "\n"
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
+    try:
+        os.write(fd, line.encode())
+    finally:
+        os.close(fd)
+
+
+def _cell_identity(key: str, cell: Optional[SweepCell]) -> Dict[str, Any]:
+    """What names a cell in a record or skip-list entry (``cell`` is
+    None when a spooled pickle would not load)."""
+    identity: Dict[str, Any] = {"cache_key": key}
+    if cell is not None:
+        identity["protocol"] = cell.protocol
+        identity["initial_interface"] = cell.initial_interface
+        identity["base_seed"] = cell.base_seed
+    return identity
+
+
+def cell_record(
+    key: str,
+    cell: Optional[SweepCell],
+    status: str,
+    wall_seconds: float = 0.0,
+    worker_pid: Optional[int] = None,
+    attempts: int = 1,
+    events: int = 0,
+    error: Optional[str] = None,
+) -> Dict[str, Any]:
+    """The terminal ``cell`` telemetry record."""
+    record = _cell_identity(key, cell)
+    record.update(
+        record="cell", status=status,
+        wall_seconds=round(wall_seconds, 6), attempts=attempts,
+    )
+    if worker_pid is not None:
+        record["worker_pid"] = worker_pid
+    if events:
+        record["events"] = events
+        if wall_seconds > 0:
+            record["events_per_second"] = round(events / wall_seconds)
+    if error is not None:
+        record["error"] = error
+    return record
+
+
+def sweep_start_record(cells: int, jobs: int) -> Dict[str, Any]:
+    return {"record": "sweep_start", "format": RESULTS_FORMAT_VERSION,
+            "cells": cells, "jobs": jobs}
+
+
+def sweep_end_record(stats: SweepStats, started: float) -> Dict[str, Any]:
+    return {
+        "record": "sweep_end", **stats.counters(),
+        "wall_seconds": round(_metrics.clock() - started, 6),
+    }
+
+
+def settle_failure(
+    telemetry: Optional[PathArg],
+    key: str,
+    cell: Optional[SweepCell],
+    errors: List[str],
+    max_attempts: int,
+) -> Optional[Dict[str, Any]]:
+    """One failed attempt under the one retry/quarantine policy.
+
+    ``errors`` is the cell's clipped error history, this attempt last.
+    Below ``max_attempts`` the cell is to be retried (after
+    :func:`backoff_delay`) and None is returned; at the bound it is
+    terminal: its ``quarantined`` record is emitted and its skip-list
+    entry — the one entry shape — returned.
+    """
+    emit(telemetry, {"record": "attempt_failed", "cache_key": key,
+                     "attempt": len(errors), "error": errors[-1]})
+    if len(errors) < max_attempts:
+        return None
+    emit(telemetry, cell_record(
+        key, cell, "quarantined", attempts=len(errors), error=errors[-1],
+    ))
+    entry = _cell_identity(key, cell)
+    entry["attempts"] = len(errors)
+    entry["errors"] = errors[-MAX_QUARANTINE_ERRORS:]
+    return entry
 
 
 def dedupe_quarantine(entries: List[Dict]) -> List[Dict]:
     """Collapse a quarantine skip-list to one entry per cache key.
 
     Later entries win (they carry the most recent attempt counts), and
-    stored error evidence is re-clipped to the configured bounds, so a
-    report assembled across repeated retry rounds or multiple sweep
-    invocations never grows duplicates or unbounded tracebacks.
+    stored error evidence is re-clipped to the configured bounds.
     """
     by_key: Dict[str, Dict] = {}
     for entry in entries:
@@ -578,183 +696,19 @@ def dedupe_quarantine(entries: List[Dict]) -> List[Dict]:
     return list(by_key.values())
 
 
-def write_quarantine_report(path: os.PathLike, entries: List[Dict]) -> None:
-    """Atomically write the quarantine skip-list as JSON.
+def write_quarantine_report(path: PathArg, entries: List[Dict]) -> None:
+    """Atomically write the (deduplicated) quarantine skip-list as JSON.
 
     Written even when empty so CI can always upload the artifact and a
     clean run is distinguishable from a run that never reported.
-    Entries are deduplicated by cache key and their stored evidence
-    bounded (see :func:`dedupe_quarantine`).
     """
     entries = dedupe_quarantine(entries)
-    target = Path(path)
-    if target.parent != Path(""):
-        target.parent.mkdir(parents=True, exist_ok=True)
     payload = {
         "format": RESULTS_FORMAT_VERSION,
         "quarantined_cells": len(entries),
         "quarantined": entries,
     }
-    fd, tmp = tempfile.mkstemp(dir=target.parent or None, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(payload, fh, indent=2)
-        os.replace(tmp, target)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
-class SweepTelemetry:
-    """Streams per-cell sweep telemetry to a JSONL sidecar.
-
-    Record types (``"record"`` field):
-
-    * ``sweep_start`` — one per :func:`execute_cells` call: cell count,
-      worker count, format version.
-    * ``cell`` — exactly one *terminal* record per cell, whether it was
-      served from cache (``status="cached"``), executed
-      (``"executed"``, with wall seconds, worker pid, attempt count and
-      events/sec) or gave up (``"quarantined"``).
-    * ``attempt_failed`` — one per failed attempt (crash or exception),
-      before the cell's terminal record.
-    * ``sweep_end`` — closing totals mirroring :class:`SweepStats`.
-
-    The sidecar is opened in append mode, so a figure run spanning
-    several class sweeps accumulates one ``sweep_start``/``sweep_end``
-    block per sweep in a single file.  Each record is one line written
-    by a single ``os.write`` on an ``O_APPEND`` descriptor — the
-    kernel guarantee that makes appends *line-atomic*: concurrent
-    writers sharing one sidecar (threads, or the distributed sweep's
-    worker processes) never interleave partial lines, a killed sweep
-    leaves a readable prefix, and ``tail -f`` follows a live one.
-
-    A progress/ETA line is maintained on ``stream`` (default: stderr
-    when it is a terminal, or always under ``REPRO_PROGRESS=1``).  The
-    ETA extrapolates from the mean wall time of the cells finished so
-    far — coarse, but it needs no knowledge of cache hit rates ahead
-    of time.
-    """
-
-    def __init__(
-        self,
-        path: Optional[os.PathLike] = None,
-        total: int = 0,
-        jobs: int = 1,
-        stream: Optional[TextIO] = None,
-    ) -> None:
-        self.total = total
-        self.jobs = jobs
-        self.done = 0
-        self.cell_records = 0
-        self._t0 = _metrics.clock()
-        self._fd: Optional[int] = None
-        self._stream = stream
-        if path is not None:
-            target = Path(path)
-            if str(target.parent) not in ("", "."):
-                target.parent.mkdir(parents=True, exist_ok=True)
-            self._fd = os.open(
-                target, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
-            )
-        self._write(
-            {
-                "record": "sweep_start",
-                "format": RESULTS_FORMAT_VERSION,
-                "cells": total,
-                "jobs": jobs,
-            }
-        )
-
-    def _write(self, record: Dict[str, Any]) -> None:
-        # One os.write per record: O_APPEND appends are atomic at the
-        # kernel level, so concurrent writers never interleave lines
-        # (and there is no userspace buffer to flush or lose).
-        if self._fd is not None:
-            line = json.dumps(record, sort_keys=True) + "\n"
-            os.write(self._fd, line.encode())
-
-    def _progress(self) -> None:
-        if self._stream is None:
-            return
-        elapsed = _metrics.clock() - self._t0
-        remaining = self.total - self.done
-        eta = elapsed / self.done * remaining if self.done else float("nan")
-        self._stream.write(
-            f"\rsweep [{self.done}/{self.total}] "
-            f"elapsed={elapsed:6.1f}s eta={eta:6.1f}s"
-        )
-        if self.done >= self.total:
-            self._stream.write("\n")
-        self._stream.flush()
-
-    def cell(
-        self,
-        index: int,
-        cell: SweepCell,
-        status: str,
-        wall_seconds: float = 0.0,
-        worker_pid: Optional[int] = None,
-        attempts: int = 1,
-        events: int = 0,
-        error: Optional[str] = None,
-    ) -> None:
-        """Terminal record for one cell; drives the progress line."""
-        record: Dict[str, Any] = {
-            "record": "cell",
-            "index": index,
-            "cache_key": cell.cache_key(),
-            "protocol": cell.protocol,
-            "initial_interface": cell.initial_interface,
-            "base_seed": cell.base_seed,
-            "status": status,
-            "wall_seconds": round(wall_seconds, 6),
-            "attempts": attempts,
-        }
-        if worker_pid is not None:
-            record["worker_pid"] = worker_pid
-        if events:
-            record["events"] = events
-            if wall_seconds > 0:
-                record["events_per_second"] = round(events / wall_seconds)
-        if error is not None:
-            record["error"] = error
-        self._write(record)
-        self.cell_records += 1
-        self.done += 1
-        self._progress()
-
-    def attempt_failed(self, index: int, attempt: int, error: str) -> None:
-        self._write(
-            {
-                "record": "attempt_failed",
-                "index": index,
-                "attempt": attempt,
-                "error": error,
-            }
-        )
-
-    def close(self, stats: SweepStats) -> None:
-        self._write(
-            {
-                "record": "sweep_end",
-                "cells": stats.cells,
-                "cache_hits": stats.cache_hits,
-                "cache_misses": stats.cache_misses,
-                "executed": stats.executed,
-                "events_processed": stats.events_processed,
-                "retries": stats.retries,
-                "quarantined": stats.quarantined,
-                "pool_restarts": stats.pool_restarts,
-                "wall_seconds": round(_metrics.clock() - self._t0, 6),
-            }
-        )
-        if self._fd is not None:
-            os.close(self._fd)
-            self._fd = None
+    atomic_write(Path(path), json.dumps(payload, indent=2).encode())
 
 
 def _progress_stream() -> Optional[TextIO]:
@@ -769,18 +723,9 @@ def _progress_stream() -> Optional[TextIO]:
     return None
 
 
-def default_telemetry(total: int, jobs: int) -> Optional[SweepTelemetry]:
-    """Telemetry configured by the environment, or None when silent.
-
-    Active when ``REPRO_SWEEP_TELEMETRY`` names a sidecar path and/or a
-    progress line is wanted (tty stderr or ``REPRO_PROGRESS=1``).
-    """
-    path = os.environ.get("REPRO_SWEEP_TELEMETRY", "").strip() or None
-    stream = _progress_stream()
-    if path is None and stream is None:
-        return None
-    return SweepTelemetry(path, total, jobs, stream=stream)
-
+# ----------------------------------------------------------------------
+# Execution
+# ----------------------------------------------------------------------
 
 def execute_cells(
     cells: Sequence[SweepCell],
@@ -788,237 +733,171 @@ def execute_cells(
     cache: Optional[ResultCache] = "auto",  # type: ignore[assignment]
     stats: Optional[SweepStats] = None,
     retries: Optional[int] = None,
-    telemetry: Optional[SweepTelemetry] = "auto",  # type: ignore[assignment]
+    telemetry: Optional[PathArg] = "auto",
 ) -> List[Optional[CellResult]]:
     """Run every cell, returning results aligned with ``cells``.
 
-    Cached cells are served from disk; the rest are executed — in a
-    worker pool when ``jobs > 1``, in-process otherwise — and stored
-    back.  Results are bit-identical to running each cell serially:
-    each worker performs the exact same ``run_bulk`` call, and ordering
-    is restored from the plan, not from completion order.
+    Cached cells are served from disk; the rest are executed and stored
+    back — in-process when ``jobs == 1`` or at most one cell is
+    missing, otherwise by ``jobs`` worker processes that
+    :func:`repro.experiments.distributed.coordinate` drives over a
+    temporary spool directory.  Results are bit-identical either way:
+    every path makes the exact same ``run_bulk`` call, and ordering is
+    restored from the plan, not from completion order.
 
-    Crash isolation: a worker dying (``BrokenProcessPool``) or a cell
-    raising fails only that round's affected cells; they are retried up
-    to ``retries`` more times (``REPRO_RETRIES``, default 2) under a
-    fresh pool with bounded backoff.  Cells failing every attempt are
-    quarantined — their result slot is ``None``, the skip-list lands in
-    :data:`last_quarantine` (and ``REPRO_QUARANTINE_FILE`` when set),
-    and a ``RuntimeWarning`` reports the count.  Finished cells are
-    written to the cache immediately, so an interrupted sweep resumes
-    from disk.
+    A raising cell, or a worker dying mid-cell, is a failed attempt of
+    that cell alone, retried up to ``retries`` more times
+    (``REPRO_RETRIES``, default 2) with bounded backoff.  Cells failing
+    every attempt are quarantined — their result slot is ``None``, their
+    skip-list entries land in ``stats.quarantine`` (and
+    ``REPRO_QUARANTINE_FILE`` when set), and a ``RuntimeWarning``
+    reports the count.
 
-    ``cache="auto"`` resolves via :func:`default_cache` (honouring
-    ``REPRO_CACHE``); pass ``None`` to bypass caching explicitly.
-    ``telemetry="auto"`` resolves via :func:`default_telemetry`
-    (honouring ``REPRO_SWEEP_TELEMETRY`` / ``REPRO_PROGRESS``); pass
-    ``None`` to silence it or a :class:`SweepTelemetry` to direct it.
+    ``cache="auto"`` resolves via :func:`default_cache`; ``None``
+    bypasses caching.  ``telemetry`` names the JSONL sidecar (see
+    :data:`TELEMETRY_RECORDS`): ``"auto"`` reads
+    ``REPRO_SWEEP_TELEMETRY``; ``None`` silences the sidecar and the
+    progress/ETA line this front otherwise keeps on stderr (when it is
+    a terminal, or under ``REPRO_PROGRESS=1``).
     """
-    global last_stats, last_quarantine
     if cache == "auto":
         cache = default_cache()
     jobs = resolve_jobs(jobs)
+    progress = None if telemetry is None else _progress_stream()
     if telemetry == "auto":
-        telemetry = default_telemetry(len(cells), jobs)
+        telemetry = os.environ.get("REPRO_SWEEP_TELEMETRY", "").strip() or None
+    if telemetry is not None:
+        Path(telemetry).parent.mkdir(parents=True, exist_ok=True)
     stats = stats if stats is not None else SweepStats()
     stats.cells += len(cells)
     stats.jobs = max(stats.jobs, jobs)
-    quarantined: List[Dict] = []
+    max_attempts = resolve_retries(retries) + 1
+    results: List[Optional[CellResult]] = [None] * len(cells)
+    quarantine: List[Dict[str, Any]] = []
+    started = _metrics.clock()
+    done = 0
 
+    def tick(slots: int) -> None:
+        """``slots`` more result slots are terminal: move the progress line."""
+        nonlocal done
+        done += slots
+        if progress is None:
+            return
+        elapsed = _metrics.clock() - started
+        eta = elapsed / done * (len(cells) - done) if done else float("nan")
+        progress.write(
+            f"\rsweep [{done}/{len(cells)}] "
+            f"elapsed={elapsed:6.1f}s eta={eta:6.1f}s"
+        )
+        if done >= len(cells):
+            progress.write("\n")
+        progress.flush()
+
+    def commit(slots: List[int], result: CellResult) -> int:
+        """Fill ``slots`` and persist at once: an interrupted sweep
+        resumes from whatever completed.  Returns the cell's events."""
+        for i in slots:
+            results[i] = result
+        if cache is not None:
+            cache.put(cells[slots[0]], result)
+        return stats.count_executed(result)
+
+    emit(telemetry, sweep_start_record(len(cells), jobs))
     try:
-        results: List[Optional[CellResult]] = [None] * len(cells)
         missing: List[int] = []
         for i, cell in enumerate(cells):
             cached = cache.get(cell) if cache is not None else None
-            if cached is not None:
-                results[i] = cached
-                if telemetry is not None:
-                    telemetry.cell(i, cell, "cached")
-            else:
+            if cached is None:
                 missing.append(i)
+                continue
+            results[i] = cached
+            if telemetry is not None:
+                emit(telemetry, cell_record(cell.cache_key(), cell, "cached"))
         if cache is not None:
             stats.cache_hits += len(cells) - len(missing)
             stats.cache_misses += len(missing)
+            tick(len(cells) - len(missing))
 
-        if missing:
-            max_attempts = resolve_retries(retries) + 1
-            errors: Dict[int, List[str]] = {}
+        if jobs > 1 and len(missing) > 1:
+            # Spool the distinct missing cells; workers write their own
+            # telemetry, through the spool's sidecar, into the caller's.
+            from repro.experiments.distributed import coordinate
 
-            def on_success(
-                i: int, result: CellResult, wall: float, pid: int
-            ) -> None:
-                results[i] = result
-                # Persist immediately: an interrupted sweep resumes from
-                # whatever completed, not from scratch.
-                if cache is not None:
-                    cache.put(cells[i], result)
-                stats.executed += 1
-                events = int(result.details.get("sim_events", 0))
-                stats.events_processed += events
+            slots_of: Dict[str, List[int]] = {}
+            for i in missing:
+                slots_of.setdefault(cells[i].cache_key(), []).append(i)
+
+            def on_result(key: str, result: CellResult) -> None:
+                commit(slots_of[key], result)
+                tick(len(slots_of[key]))
+
+            with tempfile.TemporaryDirectory(prefix="repro-spool-") as spool:
                 if telemetry is not None:
-                    telemetry.cell(
-                        i, cells[i], "executed",
-                        wall_seconds=wall, worker_pid=pid,
-                        attempts=len(errors.get(i, [])) + 1, events=events,
+                    os.symlink(
+                        os.path.abspath(telemetry),
+                        os.path.join(spool, "telemetry.jsonl"),
                     )
-
-            pending = [(i, cells[i]) for i in missing]
-            round_no = 0
-            while pending:
-                if round_no > 0:
-                    stats.retries += len(pending)
-                    time.sleep(backoff_delay(round_no))
-                failures = _run_round(
-                    pending, jobs, on_success, stats, isolate=round_no > 0
-                )
-                still: List[Tuple[int, SweepCell]] = []
-                for i, cell in pending:
-                    if i not in failures:
+                outcome = coordinate(
+                    Path(spool), [cells[slots[0]] for slots in slots_of.values()],
+                    workers=jobs, max_attempts=max_attempts,
+                    on_result=on_result,
+                ).stats
+            quarantine = outcome.quarantine
+            tick(sum(len(slots_of[e["cache_key"]]) for e in quarantine))
+            stats.retries += outcome.retries
+            stats.reclaimed += outcome.reclaimed
+            stats.requeued += outcome.requeued
+            stats.corrupt_entries += outcome.corrupt_entries
+            stats.workers_spawned += outcome.workers_spawned
+        else:
+            for i in missing:
+                cell = cells[i]
+                errors: List[str] = []
+                while True:
+                    t0 = _metrics.clock()
+                    try:
+                        result = run_cell(cell)
+                    except Exception as exc:
+                        # In-process stand-in for a worker crash.
+                        errors.append(clip_error(repr(exc)))
+                        entry = settle_failure(
+                            telemetry, cell.cache_key(), cell, errors,
+                            max_attempts,
+                        )
+                        if entry is not None:
+                            quarantine.append(entry)
+                            break
+                        stats.retries += 1
+                        time.sleep(backoff_delay(len(errors)))
                         continue
-                    errors.setdefault(i, []).append(clip_error(failures[i]))
+                    wall = _metrics.clock() - t0
+                    events = commit([i], result)
                     if telemetry is not None:
-                        telemetry.attempt_failed(
-                            i, len(errors[i]), failures[i]
-                        )
-                    if len(errors[i]) >= max_attempts:
-                        quarantined.append(
-                            {
-                                "index": i,
-                                "cache_key": cell.cache_key(),
-                                "protocol": cell.protocol,
-                                "initial_interface": cell.initial_interface,
-                                "base_seed": cell.base_seed,
-                                "attempts": len(errors[i]),
-                                "errors": errors[i][-MAX_QUARANTINE_ERRORS:],
-                            }
-                        )
-                        if telemetry is not None:
-                            telemetry.cell(
-                                i, cell, "quarantined",
-                                attempts=len(errors[i]),
-                                error=errors[i][-1],
-                            )
-                    else:
-                        still.append((i, cell))
-                pending = still
-                round_no += 1
+                        emit(telemetry, cell_record(
+                            cell.cache_key(), cell, "executed", wall,
+                            os.getpid(), len(errors) + 1, events,
+                        ))
+                    break
+                tick(1)
 
-            stats.quarantined += len(quarantined)
-            if quarantined:
-                warnings.warn(
-                    f"{len(quarantined)} sweep cell(s) quarantined after "
-                    f"{max_attempts} failed attempt(s) each; their result "
-                    "slots are None (see the quarantine report)",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-    finally:
-        if telemetry is not None:
-            telemetry.close(stats)
-
-    last_stats = stats
-    last_quarantine = dedupe_quarantine(quarantined)
-    report_path = os.environ.get("REPRO_QUARANTINE_FILE")
-    if report_path:
-        write_quarantine_report(report_path, quarantined)
-    return results
-
-
-#: Per-cell success callback: ``(index, result, wall_seconds, worker_pid)``.
-OnSuccess = Callable[[int, CellResult, float, int], None]
-
-
-def _run_round(
-    pending: List[Tuple[int, SweepCell]],
-    jobs: int,
-    on_success: OnSuccess,
-    stats: SweepStats,
-    isolate: bool = False,
-) -> Dict[int, str]:
-    """One execution attempt over ``pending``; failures keyed by index.
-
-    ``isolate`` (retry rounds) runs every cell in its own single-worker
-    pool: a worker crash poisons a shared pool's *other* futures too,
-    so a cell that crashes on every attempt would otherwise drag its
-    innocent round-mates into quarantine with it.
-    """
-    if jobs > 1 and (isolate or len(pending) > 1):
-        try:
-            if isolate:
-                failures: Dict[int, str] = {}
-                for item in pending:
-                    failures.update(
-                        _run_round_pooled([item], 1, on_success, stats)
-                    )
-                return failures
-            return _run_round_pooled(pending, jobs, on_success, stats)
-        except (OSError, PermissionError) as exc:
-            # Restricted sandboxes may refuse to spawn processes at
-            # all; the sweep still completes, just without parallelism.
+        stats.quarantined += len(quarantine)
+        stats.quarantine.extend(quarantine)
+        stats.complete = True
+        if quarantine:
             warnings.warn(
-                f"process pool unavailable ({exc!r}); falling back to "
-                "serial sweep execution",
+                f"{len(quarantine)} sweep cell(s) quarantined after "
+                f"{max_attempts} failed attempt(s) each; their result "
+                "slots are None (see the quarantine report)",
                 RuntimeWarning,
                 stacklevel=2,
             )
-    return _run_round_serial(pending, on_success)
+    finally:
+        emit(telemetry, sweep_end_record(stats, started))
 
-
-def _run_round_serial(
-    pending: List[Tuple[int, SweepCell]],
-    on_success: OnSuccess,
-) -> Dict[int, str]:
-    failures: Dict[int, str] = {}
-    for i, cell in pending:
-        try:
-            result, wall, pid = _run_cell_timed(cell)
-        except Exception as exc:
-            # In-process stand-in for a worker crash: record the error
-            # for the retry/quarantine machinery and keep going.
-            failures[i] = repr(exc)
-        else:
-            on_success(i, result, wall, pid)
-    return failures
-
-
-def _run_round_pooled(
-    pending: List[Tuple[int, SweepCell]],
-    jobs: int,
-    on_success: OnSuccess,
-    stats: SweepStats,
-) -> Dict[int, str]:
-    """Fan one round out over a fresh process pool.
-
-    A dead worker poisons the whole pool (every outstanding future gets
-    ``BrokenProcessPool``); affected cells are recorded as failures and
-    the caller retries them under a new pool next round.
-    """
-    failures: Dict[int, str] = {}
-    broken = False
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures: Dict = {}
-        for idx, (i, cell) in enumerate(pending):
-            try:
-                futures[pool.submit(_run_cell_timed, cell)] = i
-            except BrokenProcessPool as exc:
-                broken = True
-                for j, _ in pending[idx:]:
-                    failures[j] = repr(exc)
-                break
-        for future in as_completed(futures):
-            i = futures[future]
-            try:
-                result, wall, pid = future.result()
-            except BrokenProcessPool as exc:
-                broken = True
-                failures[i] = repr(exc)
-            except Exception as exc:
-                failures[i] = repr(exc)
-            else:
-                on_success(i, result, wall, pid)
-    if broken:
-        stats.pool_restarts += 1
-    return failures
+    report_path = os.environ.get("REPRO_QUARANTINE_FILE")
+    if report_path:
+        write_quarantine_report(report_path, quarantine)
+    return results
 
 
 def execute_class_sweep(

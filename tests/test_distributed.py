@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from repro.experiments import distributed as dist
 from repro.experiments.metrics import StreamingJain, jain_index
 from repro.experiments.parallel import (
+    TELEMETRY_RECORDS,
     SweepCell,
     result_to_dict,
     run_cell,
@@ -304,14 +305,19 @@ class TestWorkerDrain:
         cells = _syn_cells(20)
         spool = dist.init_spool(tmp_path / "s", cells, runner="synthetic")
         stats = dist.worker_loop(spool.root, worker_id="w0")
-        assert stats.committed == 20
+        assert stats.executed == 20
         committed, _ = dist.terminal_keys(spool)
         assert committed == set(spool.keys)
         records = _telemetry_records(spool)
         kinds = [r["record"] for r in records]
+        assert set(kinds) <= set(TELEMETRY_RECORDS)
         assert kinds.count("worker_start") == 1
         assert kinds.count("worker_end") == 1
-        assert kinds.count("cell_committed") == 20
+        # One terminal ``cell`` record per cell, in the front's shape.
+        cell_records = [r for r in records if r["record"] == "cell"]
+        assert sorted(r["cache_key"] for r in cell_records) == sorted(spool.keys)
+        assert {r["status"] for r in cell_records} == {"executed"}
+        assert all(r["attempts"] == 1 and r["worker_pid"] for r in cell_records)
 
     def test_corrupt_cell_file_quarantines_not_crashes(self, tmp_path):
         cells = _syn_cells(4)
@@ -321,7 +327,7 @@ class TestWorkerDrain:
         bad = spool.keys[1]
         (spool.cells_dir / f"{bad}.pkl").write_bytes(b"\x80notapickle")
         stats = dist.worker_loop(spool.root, worker_id="w0")
-        assert stats.committed == 3
+        assert stats.executed == 3
         assert stats.quarantined == 1
         committed, quarantined = dist.terminal_keys(spool)
         assert quarantined == {bad}
@@ -379,7 +385,7 @@ class TestCrashRecovery:
         # The kill is visible in the protocol's records: either the
         # rescuer reclaimed the victim's expired lease, or the victim
         # died before stamping and the token was simply re-claimed.
-        assert stats.committed >= 1
+        assert stats.executed >= 1
 
     def test_coordinator_restart_recovers_bit_identically(self, tmp_path):
         cells = _syn_cells(30)
@@ -406,7 +412,7 @@ class TestCrashRecovery:
             )
         starts = [
             r for r in _telemetry_records(spool)
-            if r["record"] == "coordinator_start"
+            if r["record"] == "sweep_start"
         ]
         assert len(starts) == 1  # phase 1 had no coordinator at all
 

@@ -1,19 +1,23 @@
-"""Tests for the parallel sweep engine and its persistent result cache.
+"""Tests for the sweep executor's front and its persistent result cache.
 
 The contract under test: fanning a class sweep out over worker
 processes (or serving it from the on-disk cache) must be invisible in
 the results — the matrices are bit-identical to the serial loop over
 ``run_scenario_protocol_matrix`` — and that guarantee survives crashed
-workers, raising cells, an unavailable pool and interrupted sweeps.
+workers, raising cells and interrupted sweeps.
 """
 
 import json
+import pickle
+import tempfile
+import time
 from dataclasses import replace
 
 import pytest
 
 from repro.expdesign.parameters import generate_scenarios
 from repro.experiments import parallel
+from repro.experiments.distributed import DEFAULT_LEASE_TTL
 from repro.experiments.parallel import (
     ResultCache,
     SweepCell,
@@ -155,6 +159,18 @@ class TestCacheKey:
             _cell(initial_interface=1).cache_key() != _cell().cache_key()
         )
 
+    def test_key_memo_stays_out_of_pickles_and_copies(self):
+        # A cell hashes once per object, but a spooled cell must be
+        # re-hashed for real on load (that re-hash is a verification),
+        # and a modified copy must never inherit the original's key.
+        cell = _cell()
+        key = cell.cache_key()
+        assert b"_key" not in pickle.dumps(cell)
+        loaded = pickle.loads(pickle.dumps(cell))
+        assert "_key" not in vars(loaded)
+        assert loaded == cell and loaded.cache_key() == key
+        assert replace(cell, base_seed=2).cache_key() != key
+
 
 class TestCacheStore:
     def test_round_trip_preserves_result(self, tmp_path):
@@ -217,19 +233,21 @@ class TestCacheStore:
         data = json.loads(cache._path(cell.cache_key()).read_text())
         assert data["digest"] == parallel.result_digest(data["result"])
 
-    def test_legacy_entry_without_digest_still_reads(self, tmp_path):
-        # Pre-digest cache entries (older format payloads) stay
-        # readable: the digest check only applies when the field is
-        # present.
+    def test_entry_without_digest_is_rejected(self, tmp_path):
+        # The content digest is mandatory: an entry without one cannot
+        # be verified, so it is set aside like any other corrupt entry
+        # and the cell re-runs.
         cell = _cell()
-        result = run_cell(cell)
         cache = ResultCache(tmp_path / "c")
-        cache.put(cell, result)
+        cache.put(cell, run_cell(cell))
         path = cache._path(cell.cache_key())
         data = json.loads(path.read_text())
         del data["digest"]
         path.write_text(json.dumps(data))
-        assert result_to_dict(cache.get(cell)) == result_to_dict(result)
+        with pytest.warns(RuntimeWarning, match="no content digest"):
+            assert cache.get(cell) is None
+        assert cache.corrupt == 1
+        assert path.with_name(path.name + ".corrupt").exists()
 
     def test_serialisation_round_trip(self):
         result = run_cell(_cell())
@@ -273,30 +291,57 @@ class TestEnvironmentKnobs:
         assert resolve_jobs(0) == 1
         assert resolve_jobs(-4) == 1
 
+    def test_non_integer_jobs_names_the_variable(self, monkeypatch):
+        monkeypatch.setenv("REPRO_JOBS", "auto")
+        with pytest.raises(ValueError, match="REPRO_JOBS.*'auto'"):
+            resolve_jobs()
+        assert resolve_jobs(2) == 2  # an explicit count never reads it
+
+    def test_non_integer_retries_names_the_variable(self, monkeypatch):
+        monkeypatch.setenv("REPRO_RETRIES", "2.5")
+        with pytest.raises(ValueError, match="REPRO_RETRIES.*'2.5'"):
+            resolve_retries()
+
 
 class TestProcessPool:
-    def test_pool_execution_matches_inprocess(self):
-        """Same cells through a real worker pool: identical results."""
+    """``jobs > 1``: worker processes over a temporary spool."""
+
+    def test_pool_execution_matches_inprocess(self, tmp_path, monkeypatch):
+        """Same cells through real worker processes: identical results,
+        and the temporary spool is gone afterwards."""
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         cells = [
             _cell(protocol=p, initial_interface=i)
             for p in ("tcp", "quic") for i in (0, 1)
         ]
         inproc = execute_cells(cells, jobs=1, cache=None)
-        pooled = execute_cells(cells, jobs=2, cache=None)
-        assert [r.transfer_time for r in inproc] == [
-            r.transfer_time for r in pooled
+        stats = SweepStats()
+        pooled = execute_cells(cells, jobs=2, cache=None, stats=stats)
+        assert [result_to_dict(r) for r in inproc] == [
+            result_to_dict(r) for r in pooled
         ]
-        assert [r.goodput_bps for r in inproc] == [
-            r.goodput_bps for r in pooled
-        ]
+        assert stats.executed == 4 and stats.workers_spawned == 2
+        assert list(tmp_path.iterdir()) == []  # no spool left behind
+
+    def test_duplicated_cell_fills_both_slots(self, tmp_path):
+        """A plan naming one cell twice spools it once and returns it
+        in both slots (and commits it to the caller's cache)."""
+        cells = [_cell(), _cell(protocol="tcp"), _cell()]
+        cache = ResultCache(tmp_path / "cache")
+        stats = SweepStats()
+        results = execute_cells(cells, jobs=2, cache=cache, stats=stats)
+        assert all(r is not None for r in results)
+        assert result_to_dict(results[0]) == result_to_dict(results[2])
+        assert stats.executed == 2 and stats.cache_misses == 3
+        assert cache.get(cells[0]) is not None
 
 
 def _arm_chaos(monkeypatch, victim, mode="raise", marker_dir=None):
     """Make ``victim`` crash via the chaos drill hooks.
 
     ``mode="raise"`` raises in-process (usable at ``jobs=1``); the
-    default ``os._exit`` variant kills the worker — only safe under a
-    real pool.  A ``marker_dir`` limits each cell to one crash.
+    default ``os._exit`` variant kills the worker — only safe under
+    ``jobs > 1``.  A ``marker_dir`` limits each cell to one crash.
     """
     monkeypatch.setenv("REPRO_CHAOS_CRASH_KEY", victim.cache_key()[:16])
     monkeypatch.setenv("REPRO_CHAOS_MODE", mode)
@@ -328,8 +373,8 @@ class TestCrashIsolation:
             )
         assert results[0] is None and results[1] is not None
         assert stats.quarantined == 1 and stats.retries == 1
-        assert len(parallel.last_quarantine) == 1
-        entry = parallel.last_quarantine[0]
+        assert len(stats.quarantine) == 1
+        entry = stats.quarantine[0]
         assert entry["cache_key"] == cells[0].cache_key()
         assert entry["attempts"] == 2 and len(entry["errors"]) == 2
         assert "chaos drill" in entry["errors"][0]
@@ -345,8 +390,10 @@ class TestCrashIsolation:
         assert payload["quarantined_cells"] == 0
 
     def test_dead_worker_recovers_bit_identical(self, monkeypatch, tmp_path):
-        """A worker killed mid-cell poisons the pool; the retry round
-        rebuilds it and the final matrix matches the clean serial run."""
+        """A worker killed mid-cell (``os._exit(17)``) loses only its
+        own cell: the coordinator sees the child exit, takes its lease
+        back at once — no lease TTL is waited out — and the final matrix
+        matches the clean serial run."""
         cells = [
             _cell(protocol=p, initial_interface=i)
             for p in ("tcp", "quic") for i in (0, 1)
@@ -357,22 +404,15 @@ class TestCrashIsolation:
             monkeypatch, cells[1], mode="exit",
             marker_dir=tmp_path / "markers",
         )
+        t0 = time.monotonic()
         results = execute_cells(cells, jobs=2, cache=None, stats=stats)
-        assert stats.pool_restarts >= 1 and stats.retries >= 1
+        assert time.monotonic() - t0 < DEFAULT_LEASE_TTL / 2
+        assert stats.reclaimed >= 1 and stats.retries >= 1
+        assert stats.workers_spawned >= 3  # the dead worker was replaced
         assert stats.quarantined == 0
         assert [result_to_dict(r) for r in results] == [
             result_to_dict(r) for r in clean
         ]
-
-    def test_serial_fallback_when_pool_unavailable(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise PermissionError("no processes in this sandbox")
-
-        monkeypatch.setattr(parallel, "ProcessPoolExecutor", refuse)
-        cells = [_cell(protocol="tcp"), _cell(protocol="tcp", initial_interface=1)]
-        with pytest.warns(RuntimeWarning, match="falling back to serial"):
-            results = execute_cells(cells, jobs=4, cache=None)
-        assert all(r is not None for r in results)
 
     def test_interrupted_sweep_resumes_from_cache(self, monkeypatch, tmp_path):
         """Cells finished before a failure are served from disk on the

@@ -3,20 +3,20 @@
 The load-bearing property: every sweep cell gets exactly one terminal
 ``cell`` record — cached, executed, or quarantined — so the sidecar's
 cell count equals the sweep's cell count on every code path, including
-crash-retry and quarantine.
+crash-retry, quarantine and the spool-backed ``jobs > 1`` path, where
+worker processes write their records into the same sidecar.
 """
 
 import json
+import threading
 import warnings
-
-import pytest
 
 from repro.expdesign.parameters import generate_scenarios
 from repro.experiments.parallel import (
+    TELEMETRY_RECORDS,
     ResultCache,
     SweepStats,
-    SweepTelemetry,
-    default_telemetry,
+    emit,
     execute_cells,
     plan_class_sweep,
 )
@@ -36,13 +36,16 @@ def _cell_records(path):
     return [r for r in _records(path) if r["record"] == "cell"]
 
 
+def _keys(cells):
+    return sorted(c.cache_key() for c in cells)
+
+
 class TestSidecar:
     def test_one_terminal_record_per_cell(self, tmp_path):
         cells = _cells()[:4]
         sidecar = tmp_path / "telemetry.jsonl"
-        telemetry = SweepTelemetry(sidecar, len(cells), jobs=1)
         results = execute_cells(
-            cells, jobs=1, cache=None, telemetry=telemetry
+            cells, jobs=1, cache=None, telemetry=sidecar
         )
         assert all(r is not None for r in results)
         records = _records(sidecar)
@@ -50,10 +53,7 @@ class TestSidecar:
         assert records[0]["cells"] == len(cells)
         assert records[-1]["record"] == "sweep_end"
         cell_records = _cell_records(sidecar)
-        assert len(cell_records) == len(cells)
-        assert sorted(r["index"] for r in cell_records) == list(
-            range(len(cells))
-        )
+        assert sorted(r["cache_key"] for r in cell_records) == _keys(cells)
         for record in cell_records:
             assert record["status"] == "executed"
             assert record["wall_seconds"] > 0
@@ -62,13 +62,38 @@ class TestSidecar:
             assert record["events"] > 0
             assert record["events_per_second"] > 0
 
+    def test_spooled_sweep_keeps_one_terminal_record_per_cell(self, tmp_path):
+        # jobs > 1: two cells come from the cache (the front's records),
+        # the rest are executed by worker processes that append to the
+        # very same sidecar; every line stays inside the one vocabulary.
+        cells = _cells()
+        cache = ResultCache(tmp_path / "cache")
+        execute_cells(cells[:2], jobs=1, cache=cache, telemetry=None)
+        sidecar = tmp_path / "telemetry.jsonl"
+        stats = SweepStats()
+        execute_cells(
+            cells, jobs=2, cache=cache, stats=stats, telemetry=sidecar
+        )
+        records = _records(sidecar)
+        assert {r["record"] for r in records} <= set(TELEMETRY_RECORDS)
+        assert records[0]["record"] == "sweep_start"
+        assert records[0]["cells"] == len(cells)
+        assert records[-1]["record"] == "sweep_end"
+        assert records[-1]["executed"] == stats.executed == len(cells) - 2
+        cell_records = _cell_records(sidecar)
+        assert sorted(r["cache_key"] for r in cell_records) == _keys(cells)
+        statuses = [r["status"] for r in cell_records]
+        assert statuses.count("cached") == 2
+        assert statuses.count("executed") == len(cells) - 2
+        kinds = [r["record"] for r in records]
+        assert kinds.count("worker_start") == kinds.count("worker_end") == 2
+
     def test_cached_cells_get_cached_records(self, tmp_path):
         cells = _cells()[:4]
         cache = ResultCache(tmp_path / "cache")
         execute_cells(cells, jobs=1, cache=cache, telemetry=None)
         sidecar = tmp_path / "telemetry.jsonl"
-        telemetry = SweepTelemetry(sidecar, len(cells), jobs=1)
-        execute_cells(cells, jobs=1, cache=cache, telemetry=telemetry)
+        execute_cells(cells, jobs=1, cache=cache, telemetry=sidecar)
         cell_records = _cell_records(sidecar)
         assert len(cell_records) == len(cells)
         assert all(r["status"] == "cached" for r in cell_records)
@@ -82,8 +107,7 @@ class TestSidecar:
         sidecar = tmp_path / "telemetry.jsonl"
         stats = SweepStats()
         execute_cells(
-            cells, jobs=1, cache=None, stats=stats,
-            telemetry=SweepTelemetry(sidecar, len(cells), jobs=1),
+            cells, jobs=1, cache=None, stats=stats, telemetry=sidecar
         )
         end = _records(sidecar)[-1]
         assert end["executed"] == stats.executed == len(cells)
@@ -94,10 +118,7 @@ class TestSidecar:
         cells = _cells()[:2]
         sidecar = tmp_path / "telemetry.jsonl"
         for _ in range(2):
-            execute_cells(
-                cells, jobs=1, cache=None,
-                telemetry=SweepTelemetry(sidecar, len(cells), jobs=1),
-            )
+            execute_cells(cells, jobs=1, cache=None, telemetry=sidecar)
         records = _records(sidecar)
         assert sum(r["record"] == "sweep_start" for r in records) == 2
         assert len(_cell_records(sidecar)) == 2 * len(cells)
@@ -120,20 +141,22 @@ class TestRetryAndQuarantine:
             warnings.simplefilter("ignore", RuntimeWarning)
             results = execute_cells(
                 cells, jobs=1, cache=None, stats=stats, retries=2,
-                telemetry=SweepTelemetry(sidecar, len(cells), jobs=1),
+                telemetry=sidecar,
             )
         assert results[1] is None
         assert results[0] is not None and results[2] is not None
         cell_records = _cell_records(sidecar)
         assert len(cell_records) == len(cells)
-        by_index = {r["index"]: r for r in cell_records}
-        assert by_index[1]["status"] == "quarantined"
-        assert by_index[1]["attempts"] == 3
-        assert "chaos drill" in by_index[1]["error"]
+        by_key = {r["cache_key"]: r for r in cell_records}
+        victim = by_key[cells[1].cache_key()]
+        assert victim["status"] == "quarantined"
+        assert victim["attempts"] == 3
+        assert "chaos drill" in victim["error"]
         failures = [
             r for r in _records(sidecar) if r["record"] == "attempt_failed"
         ]
         assert [f["attempt"] for f in failures] == [1, 2, 3]
+        assert {f["cache_key"] for f in failures} == {cells[1].cache_key()}
         end = _records(sidecar)[-1]
         assert end["quarantined"] == 1
         assert end["retries"] == 2
@@ -148,62 +171,55 @@ class TestRetryAndQuarantine:
         monkeypatch.setenv("REPRO_CHAOS_MARKER_DIR", str(marker_dir))
         sidecar = tmp_path / "telemetry.jsonl"
         results = execute_cells(
-            cells, jobs=1, cache=None, retries=2,
-            telemetry=SweepTelemetry(sidecar, len(cells), jobs=1),
+            cells, jobs=1, cache=None, retries=2, telemetry=sidecar
         )
         assert all(r is not None for r in results)
-        by_index = {r["index"]: r for r in _cell_records(sidecar)}
-        assert by_index[0]["status"] == "executed"
-        assert by_index[0]["attempts"] == 2  # crashed once, then recovered
-        assert by_index[1]["attempts"] == 1
+        by_key = {r["cache_key"]: r for r in _cell_records(sidecar)}
+        assert by_key[cells[0].cache_key()]["status"] == "executed"
+        # crashed once, then recovered
+        assert by_key[cells[0].cache_key()]["attempts"] == 2
+        assert by_key[cells[1].cache_key()]["attempts"] == 1
 
 
 class TestEnvironmentWiring:
     def test_env_knob_creates_sidecar(self, tmp_path, monkeypatch):
-        sidecar = tmp_path / "env_telemetry.jsonl"
+        sidecar = tmp_path / "sub" / "env_telemetry.jsonl"
         monkeypatch.setenv("REPRO_SWEEP_TELEMETRY", str(sidecar))
-        telemetry = default_telemetry(total=5, jobs=2)
-        assert telemetry is not None
-        telemetry.close(SweepStats())
+        cells = _cells()[:1]
+        execute_cells(cells, jobs=1, cache=None)
         records = _records(sidecar)
         assert records[0]["record"] == "sweep_start"
-        assert records[0]["cells"] == 5
+        assert records[0]["cells"] == 1
 
-    def test_silent_without_env_or_tty(self, monkeypatch):
+    def test_silent_without_env_or_tty(self, tmp_path, monkeypatch, capsys):
         monkeypatch.delenv("REPRO_SWEEP_TELEMETRY", raising=False)
         monkeypatch.delenv("REPRO_PROGRESS", raising=False)
+        monkeypatch.chdir(tmp_path)
         # pytest's captured stderr is not a tty, so: fully silent.
-        assert default_telemetry(total=5, jobs=1) is None
+        execute_cells(_cells()[:1], jobs=1, cache=None)
+        assert capsys.readouterr().err == ""
+        assert list(tmp_path.iterdir()) == []
 
-    def test_progress_line_renders_eta(self, tmp_path):
-        class FakeStream:
-            def __init__(self):
-                self.chunks = []
-
-            def write(self, text):
-                self.chunks.append(text)
-
-            def flush(self):
-                pass
-
-        stream = FakeStream()
+    def test_progress_line_renders_eta(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_PROGRESS", "1")
         cells = _cells()[:2]
-        telemetry = SweepTelemetry(
-            tmp_path / "t.jsonl", len(cells), jobs=1, stream=stream
+        execute_cells(
+            cells, jobs=1, cache=None, telemetry=tmp_path / "t.jsonl"
         )
-        execute_cells(cells, jobs=1, cache=None, telemetry=telemetry)
-        text = "".join(stream.chunks)
+        text = capsys.readouterr().err
         assert f"[{len(cells)}/{len(cells)}]" in text
         assert "eta=" in text
         assert text.endswith("\n")  # final line is terminated
+        # telemetry=None silences the progress line too.
+        execute_cells(cells, jobs=1, cache=None, telemetry=None)
+        assert capsys.readouterr().err == ""
 
 
 class TestResultEquivalence:
     def test_telemetry_does_not_change_results(self, tmp_path):
         cells = _cells()[:4]
         with_telemetry = execute_cells(
-            cells, jobs=1, cache=None,
-            telemetry=SweepTelemetry(tmp_path / "t.jsonl", len(cells), 1),
+            cells, jobs=1, cache=None, telemetry=tmp_path / "t.jsonl"
         )
         without = execute_cells(cells, jobs=1, cache=None, telemetry=None)
         assert [
@@ -213,23 +229,22 @@ class TestResultEquivalence:
 
 class TestLineAtomicAppends:
     def test_threads_hammering_one_sidecar_never_interleave(self, tmp_path):
-        # Concurrent writers sharing one sidecar (the distributed
-        # sweep's workers, or threads here) must never interleave
-        # partial lines: each record is a single os.write on an
-        # O_APPEND descriptor.  Long, distinctive payloads make any
-        # torn or spliced line fail json parsing or the echo check.
-        import threading
-
+        # Concurrent writers sharing one sidecar (the sweep's worker
+        # processes, or threads here) must never interleave partial
+        # lines: each record is a single os.write on an O_APPEND
+        # descriptor.  Long, distinctive payloads make any torn or
+        # spliced line fail json parsing or the echo check.
         sidecar = tmp_path / "telemetry.jsonl"
-        telemetry = SweepTelemetry(sidecar, total=0, jobs=1)
         n_threads, per_thread = 8, 150
 
         def hammer(thread_no):
             payload = f"t{thread_no}-" + "x" * (400 + 37 * thread_no)
             for i in range(per_thread):
-                telemetry.attempt_failed(
-                    thread_no * per_thread + i, 1, payload
-                )
+                emit(sidecar, {
+                    "record": "attempt_failed",
+                    "serial": thread_no * per_thread + i,
+                    "error": payload,
+                })
 
         threads = [
             threading.Thread(target=hammer, args=(t,))
@@ -238,13 +253,12 @@ class TestLineAtomicAppends:
         for t in threads:
             t.start()
         for t in threads:
-            t.join()
-        telemetry.close(SweepStats())
+            t.join(timeout=60.0)
+        assert not any(t.is_alive() for t in threads)
 
-        records = _records(sidecar)  # json.loads raises on a torn line
-        failed = [r for r in records if r["record"] == "attempt_failed"]
+        failed = _records(sidecar)  # json.loads raises on a torn line
         assert len(failed) == n_threads * per_thread
-        assert sorted(r["index"] for r in failed) == list(
+        assert sorted(r["serial"] for r in failed) == list(
             range(n_threads * per_thread)
         )
         for r in failed:
