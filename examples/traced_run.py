@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Traced run: record qlog-style telemetry for an MPQUIC download.
+"""Traced run: record qlog-style telemetry for one download.
 
 Attaches a `repro.obs.Tracer` to the quickstart scenario (two disjoint
 paths, Fig. 2), then prints the per-path summary report, shows a few
@@ -8,13 +8,14 @@ format.  Re-render the report later with:
 
     python -m repro.obs report results/traced_run.jsonl
 
-Run:  python examples/traced_run.py
+Run:  python examples/traced_run.py [--protocol tcp|mptcp|quic|mpquic]
 """
 
+import argparse
 from pathlib import Path
 
 from repro.apps.bulk import BulkTransferApp
-from repro.apps.transport import make_client_server
+from repro.apps.transport import PROTOCOLS, make_client_server
 from repro.netsim.engine import Simulator
 from repro.netsim.topology import PathConfig, TwoPathTopology
 from repro.obs import (
@@ -31,6 +32,10 @@ OUT_DIR = Path(__file__).resolve().parent.parent / "results"
 
 
 def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--protocol", choices=PROTOCOLS, default="mpquic")
+    protocol = parser.parse_args().protocol
+
     sim = Simulator()
     topology = TwoPathTopology(
         sim,
@@ -41,7 +46,7 @@ def main() -> None:
         seed=1,
     )
     tracer = Tracer()
-    client, server = make_client_server("mpquic", sim, topology, trace=tracer)
+    client, server = make_client_server(protocol, sim, topology, trace=tracer)
     app = BulkTransferApp(sim, client, server, file_size=2_000_000)
     if not app.run():
         raise SystemExit("transfer did not complete")

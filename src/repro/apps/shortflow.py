@@ -27,7 +27,7 @@ from repro.core.connection import MultipathQuicConnection
 from repro.mptcp.connection import MptcpConnection
 from repro.netsim.engine import Simulator
 from repro.netsim.node import Host
-from repro.netsim.trace import PacketTrace
+from repro.obs.events import Tracer
 from repro.quic.config import QuicConfig
 from repro.quic.connection import QuicConnection
 from repro.tcp.config import TcpConfig
@@ -41,7 +41,7 @@ def make_endpoints(
     server_host: Host,
     quic_config: Optional[QuicConfig] = None,
     tcp_config: Optional[TcpConfig] = None,
-    trace: Optional[PacketTrace] = None,
+    trace: Optional[Tracer] = None,
     connection_id: int = 0x1234,
 ) -> Tuple[TransportEndpoint, TransportEndpoint]:
     """Endpoint pair over explicit hosts (vs. a two-path topology).

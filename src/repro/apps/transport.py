@@ -20,7 +20,7 @@ from repro.core.connection import MultipathQuicConnection
 from repro.mptcp.connection import MptcpConnection
 from repro.netsim.engine import Simulator
 from repro.netsim.topology import TwoPathTopology
-from repro.netsim.trace import PacketTrace
+from repro.obs.events import Tracer
 from repro.quic.config import QuicConfig
 from repro.quic.connection import QuicConnection
 from repro.tcp.config import TcpConfig
@@ -107,7 +107,7 @@ def make_client_server(
     sim: Simulator,
     topology: TwoPathTopology,
     initial_interface: int = 0,
-    trace: Optional[PacketTrace] = None,
+    trace: Optional[Tracer] = None,
     quic_config: Optional[QuicConfig] = None,
     tcp_config: Optional[TcpConfig] = None,
 ) -> Tuple[TransportEndpoint, TransportEndpoint]:

@@ -17,10 +17,10 @@ from repro.core.path_manager import PathManager
 from repro.core.scheduler import Scheduler, make_scheduler
 from repro.netsim.engine import Simulator
 from repro.netsim.node import Host
-from repro.netsim.trace import PacketTrace
+from repro.obs.events import CAT_SCHEDULER, Tracer
 from repro.quic.config import QuicConfig
 from repro.quic.connection import PathState, QuicConnection
-from repro.quic.frames import PathInfo, PathsFrame, StreamFrame
+from repro.quic.frames import PathInfo, PathsFrame, PingFrame, StreamFrame
 from repro.quic.packet import Packet
 
 
@@ -33,7 +33,7 @@ class MultipathQuicConnection(QuicConnection):
         host: Host,
         role: str,
         config: Optional[QuicConfig] = None,
-        trace: Optional[PacketTrace] = None,
+        trace: Optional[Tracer] = None,
         connection_id: int = 0x1234,
     ) -> None:
         config = config or QuicConfig()
@@ -73,8 +73,6 @@ class MultipathQuicConnection(QuicConnection):
         """
         path_id = self.path_manager.next_path_id()
         path = self._create_path(path_id, interface_index)
-        from repro.quic.frames import PingFrame
-
         self._queue_control(path_id, PingFrame())
         self._send_pending()
         return path
@@ -137,9 +135,10 @@ class MultipathQuicConnection(QuicConnection):
             other.duplicated_packets += 1
             self.stats.packets_duplicated += 1
             if self.trace is not None:
-                self.trace.log(
-                    self.sim.now, self.host.name, "dup",
-                    other.path_id, dup.packet_number, dup.wire_size,
+                self.trace.emit(
+                    self.sim.now, self.host.name, CAT_SCHEDULER, "duplicated",
+                    other.path_id, packet_number=dup.packet_number,
+                    size=dup.wire_size,
                 )
 
     # ------------------------------------------------------------------

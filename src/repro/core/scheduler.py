@@ -11,7 +11,7 @@ blind round-robin.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from repro.obs import metrics as _metrics
 from repro.quic.connection import PathLiveness, PathState
@@ -27,10 +27,6 @@ class Scheduler(ABC):
     #: path, not just RTT-unknown ones (see RedundantScheduler).
     duplicate_everywhere = False
 
-    #: Optional telemetry hook ``fn(path)`` wired by the connection when
-    #: a tracer is attached; fed by :meth:`choose` on every decision.
-    telemetry: Optional[Callable[[PathState], None]] = None
-
     @abstractmethod
     def select_path(self, paths: List[PathState]) -> Optional[PathState]:
         """Return a usable path with window space, or None when blocked.
@@ -40,7 +36,7 @@ class Scheduler(ABC):
         """
 
     def choose(self, paths: List[PathState]) -> Optional[PathState]:
-        """Select a path and report the decision to the telemetry hook."""
+        """Select a path, counting and sanity-checking the decision."""
         path = self.select_path(paths)
         if _metrics.METRICS and path is not None:
             _metrics.REGISTRY.inc("scheduler.decisions")
@@ -71,8 +67,6 @@ class Scheduler(ABC):
                 path_id=path.path_id,
                 liveness=getattr(liveness, "value", str(liveness)),
             )
-        if path is not None and self.telemetry is not None:
-            self.telemetry(path)
         return path
 
     @staticmethod

@@ -24,7 +24,6 @@ from repro.experiments.scenarios import (
 from repro.netsim.engine import Simulator
 from repro.netsim.faults import FaultTimeline
 from repro.netsim.topology import PathConfig, TwoPathTopology
-from repro.netsim.trace import PacketTrace
 from repro.obs import Tracer
 from repro.quic.config import QuicConfig
 from repro.tcp.config import TcpConfig
@@ -74,7 +73,7 @@ def _single_bulk(
     quic_config: Optional[QuicConfig],
     tcp_config: Optional[TcpConfig],
     timeout: float,
-    trace: Optional[PacketTrace] = None,
+    trace: Optional[Tracer] = None,
     timeline: Optional[FaultTimeline] = None,
 ) -> Tuple[bool, float, int]:
     sim = Simulator()
@@ -166,7 +165,7 @@ def run_handover(
     quic_config: Optional[QuicConfig] = None,
     protocol: str = "mpquic",
     tcp_config: Optional[TcpConfig] = None,
-    trace: Optional[PacketTrace] = None,
+    trace: Optional[Tracer] = None,
 ) -> List[Tuple[float, float]]:
     """Reproduce the §4.3 handover experiment.
 

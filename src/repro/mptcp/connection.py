@@ -28,8 +28,8 @@ from repro.cc import OliaCoordinator, make_controller
 from repro.mptcp.scheduler import SubflowScheduler, make_subflow_scheduler
 from repro.netsim.engine import Simulator
 from repro.netsim.node import Datagram, Host
-from repro.netsim.trace import PacketTrace
 from repro.obs import metrics as _metrics
+from repro.obs.events import Tracer
 from repro.quic.flowcontrol import ReceiveWindow
 from repro.tcp.config import TcpConfig, TLS_MESSAGE_SIZES
 from repro.tcp.flow import FlowOwner, TcpFlow
@@ -77,7 +77,7 @@ class MptcpConnection(FlowOwner):
         host: Host,
         role: str,
         config: Optional[TcpConfig] = None,
-        trace: Optional[PacketTrace] = None,
+        trace: Optional[Tracer] = None,
         initial_interface: int = 0,
     ) -> None:
         if role not in ("client", "server"):

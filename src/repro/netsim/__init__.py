@@ -11,7 +11,6 @@ from repro.netsim.engine import Simulator, Timer
 from repro.netsim.link import Link, LinkStats
 from repro.netsim.node import Datagram, Host, Interface
 from repro.netsim.topology import PathConfig, TwoPathTopology
-from repro.netsim.trace import PacketTrace, TraceRecord
 
 __all__ = [
     "Simulator",
@@ -25,6 +24,4 @@ __all__ = [
     "TwoPathTopology",
     "Router",
     "SharedBottleneckTopology",
-    "PacketTrace",
-    "TraceRecord",
 ]

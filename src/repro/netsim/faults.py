@@ -37,7 +37,9 @@ from __future__ import annotations
 import random
 import zlib
 from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING, Any, Dict, List, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+
+from repro.obs.events import CAT_NETWORK, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.netsim.engine import Simulator
@@ -238,7 +240,9 @@ class FaultTimeline:
             for ev in self.events
         ]
 
-    def install(self, sim: "Simulator", topology: Any, trace: Any = None) -> None:
+    def install(
+        self, sim: "Simulator", topology: Any, trace: Optional[Tracer] = None
+    ) -> None:
         """Schedule every event against a running simulation.
 
         ``topology`` must offer ``apply_fault(path_index, mutation)``
@@ -255,13 +259,13 @@ class FaultTimeline:
             sim.schedule_at(ev.time, self._fire, ev, sim, topology, trace)
 
     @staticmethod
-    def _fire(ev: FaultEvent, sim: "Simulator", topology: Any, trace: Any) -> None:
+    def _fire(
+        ev: FaultEvent, sim: "Simulator", topology: Any, trace: Optional[Tracer]
+    ) -> None:
         topology.apply_fault(ev.path, ev.mutation)
-        if trace is not None and hasattr(trace, "emit"):
-            # Category mirrors repro.obs.events.CAT_NETWORK (string kept
-            # literal so netsim stays import-independent of the obs layer).
+        if trace is not None:
             trace.emit(
-                sim.now, "network", "network", ev.mutation.kind,  # repro: allow[obs-category] netsim must not import obs
+                sim.now, "network", CAT_NETWORK, ev.mutation.kind,
                 ev.path, **ev.mutation.describe(),
             )
 

@@ -1,7 +1,7 @@
 """Structured telemetry (qlog-style) for the whole transport stack.
 
 * :mod:`repro.obs.events` — event taxonomy and the :class:`Tracer`
-  (a strict superset of the legacy ``PacketTrace``);
+  (the one trace handle every stack emits into);
 * :mod:`repro.obs.export` — qlog JSON / JSONL / CSV exporters;
 * :mod:`repro.obs.summary` — per-path counters, scheduler histogram
   and handover timeline, plus the plain-text report renderer.

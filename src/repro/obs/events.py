@@ -4,11 +4,10 @@ The event taxonomy mirrors the qlog schema the QUIC community settled
 on (draft-ietf-quic-qlog-main-schema): every event belongs to a
 *category* (``transport``, ``recovery``, ``cc``, ``scheduler``,
 ``path``, ``flowcontrol``) and carries a free-form ``data`` mapping.
-A :class:`Tracer` is a strict superset of the legacy
-:class:`repro.netsim.trace.PacketTrace`: the old tuple-based ``log()``
-call keeps working (TCP/MPTCP call sites are untouched) and is
-translated into a typed event on the fly, while the QUIC/MPQUIC layers
-additionally emit rich events and per-path time series through the
+A :class:`Tracer` is the one trace handle of the repo: all four stacks
+(TCP, MPTCP, QUIC, MPQUIC), the fault injector, the fluid engine and
+the workload harness record through :meth:`Tracer.emit`; the
+QUIC/MPQUIC layers additionally feed per-path time series through the
 cheap hooks described in ``docs/observability.md``.
 
 Overhead design: every emission site in the transports is guarded by a
@@ -23,8 +22,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 
-from repro.netsim.trace import PacketTrace, TraceRecord
-
 # -- event taxonomy ---------------------------------------------------------
 
 CAT_TRANSPORT = "transport"
@@ -37,7 +34,7 @@ CAT_FLOWCONTROL = "flowcontrol"
 #: delay changes, loss steps, blackholing.  Emitted with ``host ==
 #: "network"`` and ``path_id`` set to the mutated path, so a trace
 #: shows the network timeline interleaved with the transport's
-#: reaction (see ``repro.netsim.faults``).
+#: reaction (see ``netsim/faults.py``).
 CAT_NETWORK = "network"
 #: Connection-lifetime events: close, idle timeout, handshake deadline,
 #: loss of the last viable path.  Emitted with ``path_id == -1`` since
@@ -49,7 +46,7 @@ CAT_CONNECTION = "connection"
 CAT_METRICS = "metrics"
 #: Fluid-approximation engine events (``fluid:flow_started``,
 #: ``fluid:share_update``, ``fluid:flow_completed``) from
-#: :mod:`repro.netsim.fluid`.  Emitted with ``host == "network"`` and
+#: ``netsim/fluid.py``.  Emitted with ``host == "network"`` and
 #: ``path_id == -1``: fluid flows are background load, not paths.
 CAT_FLUID = "fluid"
 #: Open-loop workload harness events (``workload:flow_arrival``,
@@ -72,25 +69,6 @@ CATEGORIES = (
     CAT_FLUID,
     CAT_WORKLOAD,
 )
-
-#: Translation of the legacy ``PacketTrace`` event names used by the
-#: TCP/MPTCP/QUIC call sites into (category, name) pairs, so old call
-#: sites feed the typed stream without modification.
-LEGACY_EVENTS: Dict[str, Tuple[str, str]] = {
-    "send": (CAT_TRANSPORT, "packet_sent"),
-    "recv": (CAT_TRANSPORT, "packet_received"),
-    "lost": (CAT_TRANSPORT, "packet_lost"),
-    "rto": (CAT_RECOVERY, "rto"),
-    "tlp": (CAT_RECOVERY, "tail_loss_probe"),
-    "dup": (CAT_SCHEDULER, "duplicated"),
-    "migrate": (CAT_PATH, "migrated"),
-    "rebind": (CAT_PATH, "rebind"),
-    # TCP/MPTCP flows log per-subflow with these names; the subflow's
-    # interface index plays the role of the path id.
-    "tcp-send": (CAT_TRANSPORT, "packet_sent"),
-    "tcp-recv": (CAT_TRANSPORT, "packet_received"),
-    "tcp-rto": (CAT_RECOVERY, "rto"),
-}
 
 #: Metrics sampled into per-path time series by the QUIC layers.
 SERIES_METRICS = (
@@ -123,13 +101,9 @@ class Event:
         return f"{self.category}:{self.name}"
 
 
-class Tracer(PacketTrace):
+class Tracer:
     """Structured telemetry collector attached to one simulation.
 
-    Strict superset of :class:`PacketTrace`:
-
-    * ``log()`` (the legacy tuple API) still appends a
-      :class:`TraceRecord` *and* mirrors it as a typed :class:`Event`;
     * ``emit()`` records typed events with arbitrary payloads;
     * ``sample()`` accumulates per-``(host, path, metric)`` time
       series, optionally throttled by ``sample_interval``;
@@ -143,7 +117,7 @@ class Tracer(PacketTrace):
         sample_interval: float = 0.0,
         capture_scheduler_events: bool = True,
     ) -> None:
-        super().__init__(enabled)
+        self.enabled = enabled
         self.events: List[Event] = []
         #: (host, path_id, metric) -> [(time, value), ...]
         self.series: Dict[Tuple[str, int, str], List[Tuple[float, float]]] = {}
@@ -154,34 +128,6 @@ class Tracer(PacketTrace):
         self.sample_interval = sample_interval
         self.capture_scheduler_events = capture_scheduler_events
         self._last_sample_time: Dict[Tuple[str, int, str], float] = {}
-
-    # -- legacy compatibility ------------------------------------------------
-
-    def log(
-        self,
-        time: float,
-        host: str,
-        event: str,
-        path_id: int = 0,
-        packet_number: int = -1,
-        size: int = 0,
-        detail: str = "",
-    ) -> None:
-        """Legacy tuple API; also mirrored into the typed event stream."""
-        if not self.enabled:
-            return
-        self.records.append(
-            TraceRecord(time, host, event, path_id, packet_number, size, detail)
-        )
-        category, name = LEGACY_EVENTS.get(event, (CAT_TRANSPORT, event))
-        data: Dict[str, Any] = {}
-        if packet_number >= 0:
-            data["packet_number"] = packet_number
-        if size:
-            data["size"] = size
-        if detail:
-            data["detail"] = detail
-        self.events.append(Event(time, host, category, name, path_id, data))
 
     # -- typed API -----------------------------------------------------------
 

@@ -40,13 +40,12 @@ is attributed to the layer doing it, not the layer that scheduled it.
 Set ``REPRO_METRICS_FILE=<path>`` to atomically write the registry
 snapshot as JSON at interpreter exit (how CI captures the artifact).
 
-This module deliberately imports nothing from ``repro`` at module
-level — hot-path modules (``netsim.engine``, ``quic.wire``) import it,
-so it must sit at the very bottom of the dependency graph.  The one
-exception is a call-time import of the telemetry category constant in
-:func:`emit_into` (a cold path), so snapshot events carry
-``repro.obs.events.CAT_METRICS`` itself rather than a local copy that
-could drift.  It is also the **only**
+Hot-path modules (``netsim.engine``, ``quic.wire``) import this
+module, so it must sit at the very bottom of the dependency graph: its
+only ``repro`` import is the category constant from
+``repro.obs.events`` (itself import-free), so snapshot events carry
+``CAT_METRICS`` itself rather than a local copy that could drift.  It
+is also the **only**
 module in ``src/`` allowed to touch ``time.perf_counter`` — the
 ``perf-timing`` analyzer rule routes every other timing need through
 :data:`clock` / :func:`timed` so no measurement escapes the registry.
@@ -61,6 +60,8 @@ import tempfile
 import time
 from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+
+from repro.obs.events import CAT_METRICS
 
 __all__ = [
     "METRICS",
@@ -291,12 +292,6 @@ def emit_into(tracer: Any, now: float = 0.0, host: str = "runtime") -> int:
     on the simulated timeline) plus a closing ``metrics:snapshot``
     carrying the totals.  Returns the number of events emitted.
     """
-    # Imported at call time: this module must not import
-    # ``repro.obs.events`` at module level (events -> netsim.trace ->
-    # netsim.engine -> obs.metrics would be a cycle), but the category
-    # must still be the registry's constant, not a drifted local copy.
-    from repro.obs.events import CAT_METRICS
-
     snap = REGISTRY.snapshot()
     emitted = 0
     # The payload key is ``metric`` (not ``name``): the tracer's event

@@ -106,7 +106,7 @@ class AckManager:
             self._unacked_eliciting = 0
             self._ack_pending = False
             self._reordering_seen = False
-        return AckFrame.acquire(
+        return AckFrame(
             self.path_id,
             self.largest_received,
             ack_delay,

@@ -59,7 +59,7 @@ class QuicConfig:
     #: a dead path is noticed even by a pure receiver.
     keepalive_interval: float = 0.0
     #: Packet scheduler name for multipath ('lowest_rtt', 'round_robin',
-    #: 'lowest_rtt_no_dup', 'single').
+    #: 'lowest_rtt_no_dup', 'single', 'redundant').
     scheduler: str = "lowest_rtt"
     #: Send WINDOW_UPDATE frames on every active path (paper §3).  Can
     #: be disabled for the ablation study.

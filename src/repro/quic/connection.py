@@ -19,7 +19,6 @@ from repro.cc import make_controller
 from repro.cc.base import CongestionController
 from repro.netsim.engine import Simulator, Timer
 from repro.netsim.node import Datagram, Host
-from repro.netsim.trace import PacketTrace
 from repro.obs import metrics as _metrics
 from repro.obs.events import (
     CAT_CC,
@@ -28,6 +27,7 @@ from repro.obs.events import (
     CAT_PATH,
     CAT_RECOVERY,
     CAT_TRANSPORT,
+    Tracer,
 )
 from repro.quic import wire
 from repro.quic.ackmgr import AckManager, MAX_ACK_DELAY
@@ -261,7 +261,7 @@ class QuicConnection:
         host: Host,
         role: str,
         config: Optional[QuicConfig] = None,
-        trace: Optional[PacketTrace] = None,
+        trace: Optional[Tracer] = None,
         connection_id: int = 0x1234,
     ) -> None:
         if role not in ("client", "server"):
@@ -270,11 +270,9 @@ class QuicConnection:
         self.host = host
         self.role = role
         self.config = config or QuicConfig()
+        #: Structured telemetry.  Every emission site below guards on
+        #: ``self.trace is not None`` so plain runs stay free.
         self.trace = trace
-        #: Structured telemetry: set when the attached trace is a
-        #: :class:`repro.obs.Tracer`.  Every emission site below guards
-        #: on ``self._obs is not None`` so plain runs stay free.
-        self._obs = trace if hasattr(trace, "emit") else None
         self._fc_blocked: Set[int] = set()
         self.connection_id = connection_id
         self.established = False
@@ -319,6 +317,10 @@ class QuicConnection:
         self._conn_recv_sum = 0  # sum of per-stream highest offsets seen
         self._stream_recv_highest: Dict[int, int] = {}
         self._stream_rr_index = 0  # round-robin cursor over send streams
+        # Rate-limited application reader (app_consume_rate_bps > 0):
+        # (stream id, bytes) still to be credited back to the windows.
+        self._consume_backlog: List[Tuple[int, int]] = []
+        self._consume_busy = False
         #: Per-packet constants hoisted out of the send loops: frame
         #: budget after the public header, and the multipath flag the
         #: header size depends on.  ``max_packet_size`` is fixed for the
@@ -355,8 +357,8 @@ class QuicConnection:
         self.paths[path_id] = path
         self._invalidate_path_cache()
         self._pending_control.setdefault(path_id, [])
-        if self._obs is not None:
-            self._obs.emit(
+        if self.trace is not None:
+            self.trace.emit(
                 self.sim.now, self.host.name, CAT_PATH, "new",
                 path_id, interface=interface_index,
             )
@@ -369,7 +371,7 @@ class QuicConnection:
         Each hook is a closure over the tracer; the instrumented
         objects pay a single ``is None`` check when tracing is off.
         """
-        obs = self._obs
+        obs = self.trace
         host = self.host.name
         path_id = path.path_id
 
@@ -408,7 +410,7 @@ class QuicConnection:
 
     def _sample_path_metrics(self, path: PathState) -> None:
         """One time-series sample of the path's congestion/RTT state."""
-        obs = self._obs
+        obs = self.trace
         now = self.sim.now
         host = self.host.name
         path_id = path.path_id
@@ -422,17 +424,6 @@ class QuicConnection:
         obs.sample(
             now, host, path_id, "bytes_in_flight", path.recovery.bytes_in_flight
         )
-
-    def _ensure_path(self, path_id: int, interface_index: int) -> PathState:
-        """Fetch a path, creating state for peer-initiated paths."""
-        path = self.paths.get(path_id)
-        if path is None:
-            path = self._create_path(path_id, interface_index)
-            self._on_new_remote_path(path)
-        return path
-
-    def _on_new_remote_path(self, path: PathState) -> None:
-        """Hook: the peer started using a new path."""
 
     # ------------------------------------------------------------------
     # Public API
@@ -503,8 +494,8 @@ class QuicConnection:
         base_rto = max(timeouts) if timeouts else self.config.initial_rto
         self._drain_deadline = self.sim.now + self.config.drain_period_rtos * base_rto
         self.closed = True
-        if self._obs is not None:
-            self._obs.emit(
+        if self.trace is not None:
+            self.trace.emit(
                 self.sim.now, self.host.name, CAT_CONNECTION, "closed", -1,
                 error_code=error_code, reason=reason,
                 drain_until=self._drain_deadline,
@@ -532,9 +523,9 @@ class QuicConnection:
             self._mark_recovered(path, reason="migrated")
         path.tlp_count = 0
         if self.trace is not None:
-            self.trace.log(
-                self.sim.now, self.host.name, "migrate", path.path_id,
-                detail=f"iface={interface_index}",
+            self.trace.emit(
+                self.sim.now, self.host.name, CAT_PATH, "migrated",
+                path.path_id, detail=f"iface={interface_index}",
             )
         self._send_pending()
 
@@ -562,8 +553,8 @@ class QuicConnection:
             )
         path.liveness = new
         self._invalidate_path_cache()
-        if self._obs is not None:
-            self._obs.emit(
+        if self.trace is not None:
+            self.trace.emit(
                 self.sim.now, self.host.name, CAT_PATH,
                 _LIVENESS_EVENT[new], path.path_id, **data,
             )
@@ -615,8 +606,8 @@ class QuicConnection:
         path.reinjected_bytes += stream_bytes
         self.stats.reinjected_bytes += stream_bytes
         self.stats.reinjected_frames += frames
-        if self._obs is not None:
-            self._obs.emit(
+        if self.trace is not None:
+            self.trace.emit(
                 self.sim.now, self.host.name, CAT_PATH, "reinject",
                 path.path_id, packets=len(drained), frames=frames,
                 stream_bytes=stream_bytes,
@@ -670,8 +661,8 @@ class QuicConnection:
         path.last_challenge = token
         path.probes_sent += 1
         self._send_packet(path, (PathChallengeFrame(token),))
-        if self._obs is not None:
-            self._obs.emit(
+        if self.trace is not None:
+            self.trace.emit(
                 self.sim.now, self.host.name, CAT_PATH, "probe",
                 path.path_id, seq=path.probe_seq,
                 interval=path.probe_interval, probes_sent=path.probes_sent,
@@ -823,8 +814,8 @@ class QuicConnection:
         if self.closed:
             return
         self.close_error = error
-        if self._obs is not None:
-            self._obs.emit(
+        if self.trace is not None:
+            self.trace.emit(
                 self.sim.now, self.host.name, CAT_CONNECTION, error.event,
                 -1, reason=str(error),
             )
@@ -910,12 +901,10 @@ class QuicConnection:
             self._on_draining_datagram(datagram)
             return
         packet: Packet = datagram.payload
-        # Inlined _ensure_path: the path exists for every packet after
-        # the first on it.
         path = self.paths.get(packet.path_id)
         if path is None:
+            # Peer-initiated path: create its state on first sight.
             path = self._create_path(packet.path_id, interface_index)
-            self._on_new_remote_path(path)
         if path.interface_index != interface_index:
             # The peer's address changed (connection migration or NAT
             # rebinding).  Thanks to the explicit Path ID, path state —
@@ -923,9 +912,9 @@ class QuicConnection:
             # over (paper §3, Path Identification).
             path.interface_index = interface_index
             if self.trace is not None:
-                self.trace.log(
-                    self.sim.now, self.host.name, "rebind", path.path_id,
-                    detail=f"iface={interface_index}",
+                self.trace.emit(
+                    self.sim.now, self.host.name, CAT_PATH, "rebind",
+                    path.path_id, detail=f"iface={interface_index}",
                 )
         now = self.sim.now
         size = datagram.size
@@ -946,9 +935,9 @@ class QuicConnection:
         # on the path, or a matching PATH_RESPONSE (see
         # ``_mark_recovered``).
         if self.trace is not None:
-            self.trace.log(
-                now, self.host.name, "recv", path.path_id,
-                packet.packet_number, size,
+            self.trace.emit(
+                now, self.host.name, CAT_TRANSPORT, "packet_received",
+                path.path_id, packet_number=packet.packet_number, size=size,
             )
         path.ack_mgr.on_packet_received(
             packet.packet_number, now, packet.is_ack_eliciting
@@ -956,11 +945,6 @@ class QuicConnection:
         try:
             for frame in packet.frames:
                 self._dispatch_frame(frame, path)
-                if frame.poolable:
-                    # Drop the in-flight pool reference the sender took
-                    # for this transmission: the frame has now been
-                    # observed by its receiver.
-                    frame.release()
         except FlowControlError as exc:
             # A peer violating its advertised limits is a protocol
             # error: close the connection instead of crashing the host.
@@ -1057,9 +1041,9 @@ class QuicConnection:
         fin_now = stream.is_complete
         if ready or fin_now:
             self.stats.stream_bytes_received += len(ready)
-            if self._obs is not None and ready:
+            if self.trace is not None and ready:
                 # Connection-level cumulative goodput series.
-                self._obs.sample(
+                self.trace.sample(
                     self.sim.now, self.host.name, -1,
                     "goodput_bytes", self.stats.stream_bytes_received,
                 )
@@ -1082,9 +1066,6 @@ class QuicConnection:
         """
         if n <= 0:
             return
-        if not hasattr(self, "_consume_backlog"):
-            self._consume_backlog: List[Tuple[int, int]] = []
-            self._consume_busy = False
         self._consume_backlog.append((stream_id, n))
         if not self._consume_busy:
             self._consume_busy = True
@@ -1182,7 +1163,7 @@ class QuicConnection:
                 )
             for sp in result.newly_acked:
                 self._on_packet_acked(path, sp)
-            if self._obs is not None:
+            if self.trace is not None:
                 self._sample_path_metrics(path)
         if result.lost:
             self._handle_lost_packets(path, result.lost)
@@ -1199,10 +1180,6 @@ class QuicConnection:
                     stream.on_frame_acked(frame)
             elif isinstance(frame, HandshakeFrame):
                 self._handshake_acked = True
-            if frame.poolable:
-                # The recovery registration for this transmission is
-                # resolved; release its pool reference.
-                frame.release()
 
     def _handle_lost_packets(self, path: PathState, lost: List[SentPacket]) -> None:
         self.stats.packets_lost += len(lost)
@@ -1215,10 +1192,6 @@ class QuicConnection:
             path.cc.on_loss_event(self.sim.now, self.sim.now)
         for sp in lost:
             self._requeue_frames(sp.frames, path)
-        self._on_packets_lost_hook(path, lost)
-
-    def _on_packets_lost_hook(self, path: PathState, lost: List[SentPacket]) -> None:
-        """Hook for subclasses (MPQUIC schedules across paths)."""
 
     def _requeue_frames(self, frames: Tuple[Frame, ...], from_path: PathState) -> None:
         """Return a lost packet's frames to the send queues.
@@ -1249,12 +1222,6 @@ class QuicConnection:
                 target = self._first_usable_path() or from_path
                 self._queue_control(target.path_id, frame)
             # ACK and PING frames are never retransmitted.
-            if frame.poolable:
-                # Every caller hands over frames of a *popped* recovery
-                # entry (lost, drained or RTO-fired), so its pool
-                # reference resolves here.  Stream data was copied into
-                # the stream's retransmission ranges above, not kept.
-                frame.release()
 
     # ------------------------------------------------------------------
     # Send path
@@ -1408,10 +1375,10 @@ class QuicConnection:
             frames, new_bytes = self._build_data_frames(path)
             if not frames:
                 return
-            if self._obs is not None:
+            if self.trace is not None:
                 # Histogram of where data packets actually landed
                 # (selections that produced no packet are not counted).
-                self._obs.sched_decision(
+                self.trace.sched_decision(
                     self.sim.now, self.host.name, path.path_id
                 )
             packet = self._send_packet(path, tuple(frames))
@@ -1486,8 +1453,8 @@ class QuicConnection:
                     stats.stream_bytes_retransmitted += len(frame.data)
                     stats.frames_retransmitted += 1
                     path.stream_bytes_retransmitted += len(frame.data)
-                    if self._obs is not None:
-                        self._obs.emit(
+                    if self.trace is not None:
+                        self.trace.emit(
                             self.sim.now, self.host.name, CAT_RECOVERY,
                             "retransmit", path.path_id,
                             stream_id=stream_id, offset=frame.offset,
@@ -1526,8 +1493,8 @@ class QuicConnection:
             return
         self._fc_blocked.add(blocked_id)
         blocked_window.note_blocked()
-        if self._obs is not None:
-            self._obs.emit(
+        if self.trace is not None:
+            self.trace.emit(
                 self.sim.now, self.host.name, CAT_FLOWCONTROL, "blocked", -1,
                 stream_id=blocked_id, limit=blocked_window.limit,
             )
@@ -1556,13 +1523,6 @@ class QuicConnection:
                 path_id=path.path_id,
                 packet_number=packet.packet_number,
             )
-        # One pool reference per transmission: the datagram (and the
-        # receiver dispatching it) observe these frames asynchronously.
-        # Dropped datagrams never release — the frame then simply falls
-        # to the garbage collector instead of the pool.
-        for frame in frames:
-            if frame.poolable:
-                frame.retain()
         size = packet.wire_size + UDP_IP_OVERHEAD
         datagram = Datagram(payload=packet, size=size)
         now = self.sim.now
@@ -1587,9 +1547,9 @@ class QuicConnection:
         if _metrics.METRICS:
             _metrics.REGISTRY.inc("quic.packets_sent")
         if self.trace is not None:
-            self.trace.log(
-                now, self.host.name, "send", path.path_id,
-                packet.packet_number, size,
+            self.trace.emit(
+                now, self.host.name, CAT_TRANSPORT, "packet_sent",
+                path.path_id, packet_number=pn, size=size,
             )
         # Direct interface dispatch (Host.send is a pure forwarder).
         self.host.interfaces[path.interface_index].send(datagram)
@@ -1730,7 +1690,7 @@ class QuicConnection:
         for sp in lost:
             self._requeue_frames(sp.frames, path)
         if self.trace is not None:
-            self.trace.log(now, self.host.name, "rto", path.path_id)
+            self.trace.emit(now, self.host.name, CAT_RECOVERY, "rto", path.path_id)
         self._rearm_rto(path)
         self._send_pending()
 
@@ -1754,7 +1714,10 @@ class QuicConnection:
             frames = (PingFrame(),)
         self._send_packet(path, frames)
         if self.trace is not None:
-            self.trace.log(self.sim.now, self.host.name, "tlp", path.path_id)
+            self.trace.emit(
+                self.sim.now, self.host.name, CAT_RECOVERY, "tail_loss_probe",
+                path.path_id,
+            )
 
     def _cancel_all_timers(self) -> None:
         for path in self.paths.values():

@@ -10,19 +10,12 @@ Wire sizes follow :mod:`repro.quic.wire`; each frame caches its encoded
 size at construction so the simulator can account for bandwidth without
 serializing — or even re-measuring — every packet.
 
-Frames are ``__slots__`` classes rather than frozen dataclasses: a
-transfer churns through one StreamFrame and a fraction of an AckFrame
-per packet, and ``object.__setattr__``-based frozen construction
-dominated the send-loop profile.  The two high-churn frame types are
-additionally *pooled*: :meth:`StreamFrame.acquire` /
-:meth:`AckFrame.acquire` reuse recycled instances, and the transport
-releases its references once a frame can no longer be observed (its
-packet was delivered and every recovery registration resolved).  The
-refcount protocol is deliberately conservative: a frame that is never
-released is simply garbage-collected (safe), while an unbalanced extra
-``release()`` on a zero-ref frame is ignored rather than recycling an
-object someone may still hold — e.g. frames hand-built by tests and
-injected straight into a connection.
+Frames are plain ``__slots__`` value classes rather than frozen
+dataclasses: a transfer churns through one StreamFrame and a fraction
+of an AckFrame per packet, and ``object.__setattr__``-based frozen
+construction dominated the send-loop profile.  The transport builds a
+frame once and never mutates it, so the same instance may sit in a
+packet, a recovery entry and a duplicate on another path at once.
 
 Value semantics (``__eq__``/``__hash__``/``__repr__`` over the declared
 ``_fields``) are preserved exactly as the frozen dataclasses had them;
@@ -32,7 +25,7 @@ frame equality and hashability.
 
 from __future__ import annotations
 
-from typing import Any, ClassVar, List, Tuple
+from typing import ClassVar, Tuple
 
 from repro.quic import wire
 
@@ -41,9 +34,6 @@ _varint_size = wire.varint_size
 #: Maximum number of ACK ranges one ACK frame may carry (paper §4.1:
 #: "the ACK frame ... can acknowledge up to 256 packet number ranges").
 MAX_ACK_RANGES = 256
-
-#: Upper bound on recycled instances kept per pooled frame class.
-POOL_CAP = 4096
 
 
 class _Value:
@@ -83,69 +73,16 @@ class Frame(_Value):
     #: Frames that must be retransmitted when their packet is lost.
     retransmittable = True
 
-    #: Frame types managed by the object pool (see module docstring).
-    poolable = False
-
     def wire_size(self) -> int:
         raise NotImplementedError
 
-    def retain(self) -> None:
-        """Pooling no-op; overridden by pooled frame types."""
 
-    def release(self) -> None:
-        """Pooling no-op; overridden by pooled frame types."""
-
-
-class _PooledFrame(Frame):
-    """Refcounted, recyclable frame base.
-
-    ``retain()`` marks one outstanding observer (a recovery
-    registration or an in-flight datagram); ``release()`` drops one and
-    recycles the instance onto the class free list when the count hits
-    zero.  Releasing a frame that was never retained is a no-op — the
-    frame may be externally owned — so leaks are possible but
-    use-after-recycle is not.
-    """
-
-    __slots__ = ("_refs",)
-
-    poolable = True
-
-    _refs: int
-    _free: ClassVar[List[Any]] = []
-
-    def retain(self) -> None:
-        self._refs += 1
-
-    def release(self) -> None:
-        refs = self._refs
-        if refs <= 0:
-            return
-        refs -= 1
-        self._refs = refs
-        if refs == 0:
-            free = self._free
-            if len(free) < POOL_CAP:
-                self._recycle()
-                free.append(self)
-
-    def _recycle(self) -> None:
-        """Drop large payload references before parking on the free list."""
-        raise NotImplementedError
-
-    @property
-    def pool_refs(self) -> int:
-        """Outstanding retain count (observability / tests)."""
-        return self._refs
-
-
-class StreamFrame(_PooledFrame):
+class StreamFrame(Frame):
     """Carries ``data`` of stream ``stream_id`` starting at ``offset``."""
 
     __slots__ = ("stream_id", "offset", "data", "fin", "_ws")
 
     _fields = ("stream_id", "offset", "data", "fin")
-    _free: ClassVar[List["StreamFrame"]] = []
 
     stream_id: int
     offset: int
@@ -156,31 +93,12 @@ class StreamFrame(_PooledFrame):
     def __init__(
         self, stream_id: int, offset: int, data: bytes, fin: bool = False
     ) -> None:
-        self._init(stream_id, offset, data, fin)
-
-    def _init(self, stream_id: int, offset: int, data: bytes, fin: bool) -> None:
         self.stream_id = stream_id
         self.offset = offset
         self.data = data
         self.fin = fin
-        self._refs = 0
         # type byte + varint stream id + varint offset + 16-bit length
         self._ws = 3 + _varint_size(stream_id) + _varint_size(offset) + len(data)
-
-    @classmethod
-    def acquire(
-        cls, stream_id: int, offset: int, data: bytes, fin: bool = False
-    ) -> "StreamFrame":
-        """Pool-aware constructor: reuse a recycled instance if any."""
-        free = cls._free
-        if free:
-            frame = free.pop()
-            frame._init(stream_id, offset, data, fin)
-            return frame
-        return cls(stream_id, offset, data, fin)
-
-    def _recycle(self) -> None:
-        self.data = b""
 
     def wire_size(self) -> int:
         return self._ws
@@ -189,7 +107,7 @@ class StreamFrame(_PooledFrame):
         return len(self.data)
 
 
-class AckFrame(_PooledFrame):
+class AckFrame(Frame):
     """Acknowledges packet numbers received on one path.
 
     ``ranges`` are half-open ``[start, stop)`` intervals sorted in
@@ -207,7 +125,6 @@ class AckFrame(_PooledFrame):
 
     retransmittable = False
     _fields = ("path_id", "largest_acked", "ack_delay", "ranges")
-    _free: ClassVar[List["AckFrame"]] = []
 
     path_id: int
     largest_acked: int
@@ -222,15 +139,6 @@ class AckFrame(_PooledFrame):
         ack_delay: float,
         ranges: Tuple[Tuple[int, int], ...],
     ) -> None:
-        self._init(path_id, largest_acked, ack_delay, ranges)
-
-    def _init(
-        self,
-        path_id: int,
-        largest_acked: int,
-        ack_delay: float,
-        ranges: Tuple[Tuple[int, int], ...],
-    ) -> None:
         if len(ranges) > MAX_ACK_RANGES:
             raise ValueError(
                 f"ACK frame limited to {MAX_ACK_RANGES} ranges, got {len(ranges)}"
@@ -239,31 +147,11 @@ class AckFrame(_PooledFrame):
         self.largest_acked = largest_acked
         self.ack_delay = ack_delay
         self.ranges = ranges
-        self._refs = 0
         # type + path id + varint largest + 16-bit delay + 16-bit count
         size = 6 + _varint_size(largest_acked)
         for start, stop in ranges:
             size += _varint_size(stop - start) + _varint_size(start)
         self._ws = size
-
-    @classmethod
-    def acquire(
-        cls,
-        path_id: int,
-        largest_acked: int,
-        ack_delay: float,
-        ranges: Tuple[Tuple[int, int], ...],
-    ) -> "AckFrame":
-        """Pool-aware constructor: reuse a recycled instance if any."""
-        free = cls._free
-        if free:
-            frame = free.pop()
-            frame._init(path_id, largest_acked, ack_delay, ranges)
-            return frame
-        return cls(path_id, largest_acked, ack_delay, ranges)
-
-    def _recycle(self) -> None:
-        self.ranges = ()
 
     def wire_size(self) -> int:
         return self._ws

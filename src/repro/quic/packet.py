@@ -11,8 +11,7 @@ retransmission ambiguity that plagues TCP RTT estimation; paper §2).
 both per packet (bandwidth accounting and ACK bookkeeping on each hop),
 and recomputing them was a measurable share of the per-packet cost.
 The cached values stay honest because a packet's frame tuple is fixed
-for its lifetime; size accounting happens at construction, before any
-pooled frame could be recycled.
+for its lifetime and frames are immutable values.
 """
 
 from __future__ import annotations

@@ -109,12 +109,6 @@ class LossRecovery:
                 packet_number=packet_number,
                 largest_sent=self.largest_sent,
             )
-        # One pool reference per recovery registration: the frames stay
-        # reachable until this entry resolves (acked, lost or drained),
-        # at which point the connection releases them.
-        for frame in frames:
-            if frame.poolable:
-                frame.retain()
         sp = SentPacket(packet_number, frames, size, now, ack_eliciting)
         self.sent[packet_number] = sp
         if packet_number > self.largest_sent:

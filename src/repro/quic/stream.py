@@ -95,7 +95,7 @@ class SendStream:
             self._retransmit.remove(start, stop)
             data = bytes(self._buffer[start:stop])
             fin = self.fin_offset is not None and stop == self.fin_offset
-            return StreamFrame.acquire(self.stream_id, start, data, fin), 0
+            return StreamFrame(self.stream_id, start, data, fin), 0
         available = len(self._buffer) - self._next_new_offset
         if available > 0 and flow_budget > 0:
             length = min(available, max_bytes, flow_budget)
@@ -105,10 +105,10 @@ class SendStream:
             fin = self._fin_pending()
             if fin:
                 self._fin_sent = True
-            return StreamFrame.acquire(self.stream_id, start, data, fin), length
+            return StreamFrame(self.stream_id, start, data, fin), length
         if self._fin_pending():
             self._fin_sent = True
-            return StreamFrame.acquire(
+            return StreamFrame(
                 self.stream_id, self._next_new_offset, b"", True
             ), 0
         return None

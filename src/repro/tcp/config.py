@@ -73,5 +73,5 @@ class TcpConfig:
     enable_orp: bool = True
     #: MPTCP: reinject a failed subflow's outstanding data elsewhere.
     reinject_on_rto: bool = True
-    #: MPTCP scheduler name ('lowest_rtt' or 'round_robin').
+    #: MPTCP scheduler name ('lowest_rtt', 'round_robin' or 'backup').
     scheduler: str = "lowest_rtt"

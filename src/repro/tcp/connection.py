@@ -15,8 +15,8 @@ from typing import Callable, Optional
 from repro.cc import make_controller
 from repro.netsim.engine import Simulator
 from repro.netsim.node import Datagram, Host
-from repro.netsim.trace import PacketTrace
 from repro.obs import metrics as _metrics
+from repro.obs.events import Tracer
 from repro.quic.flowcontrol import ReceiveWindow
 from repro.tcp.config import TcpConfig, TLS13_MESSAGE_SIZES, TLS_MESSAGE_SIZES
 from repro.tcp.flow import FlowOwner, TcpFlow
@@ -47,7 +47,7 @@ class TcpConnection(FlowOwner):
         host: Host,
         role: str,
         config: Optional[TcpConfig] = None,
-        trace: Optional[PacketTrace] = None,
+        trace: Optional[Tracer] = None,
         interface_index: int = 0,
     ) -> None:
         if role not in ("client", "server"):

@@ -23,7 +23,7 @@ from typing import List, Optional, Tuple
 from repro.cc.base import CongestionController
 from repro.netsim.engine import Simulator, Timer
 from repro.netsim.node import Datagram, Host
-from repro.netsim.trace import PacketTrace
+from repro.obs.events import CAT_RECOVERY, CAT_TRANSPORT, Tracer
 from repro.quic.rtt import RttEstimator
 from repro.tcp.config import TcpConfig
 from repro.tcp.segment import Segment
@@ -97,7 +97,7 @@ class TcpFlow:
         cc: CongestionController,
         owner: FlowOwner,
         mapped_delivery: bool = False,
-        trace: Optional[PacketTrace] = None,
+        trace: Optional[Tracer] = None,
         name: str = "tcp",
     ) -> None:
         self.sim = sim
@@ -339,9 +339,10 @@ class TcpFlow:
         self.segments_received += 1
         self.last_receive_time = now
         if self.trace is not None:
-            self.trace.log(
-                now, self.host.name, "tcp-recv", self.interface_index,
-                segment.seq, segment.wire_size,
+            self.trace.emit(
+                now, self.host.name, CAT_TRANSPORT, "packet_received",
+                self.interface_index,
+                packet_number=segment.seq, size=segment.wire_size,
             )
         if self.state is FlowState.LISTEN and segment.syn:
             self.peer_window_edge = max(self.peer_window_edge, segment.window_edge)
@@ -707,7 +708,9 @@ class TcpFlow:
         if self.last_receive_time < self.last_send_time:
             self.potentially_failed = True
         if self.trace is not None:
-            self.trace.log(now, self.host.name, "tcp-rto", self.interface_index)
+            self.trace.emit(
+                now, self.host.name, CAT_RECOVERY, "rto", self.interface_index
+            )
         self.owner.flow_on_rto(self)
         self._arm_rto()
         self.try_send()
@@ -725,9 +728,9 @@ class TcpFlow:
         self.bytes_sent += size
         self.last_send_time = now
         if self.trace is not None:
-            self.trace.log(
-                now, self.host.name, "tcp-send", self.interface_index,
-                segment.seq, size,
+            self.trace.emit(
+                now, self.host.name, CAT_TRANSPORT, "packet_sent",
+                self.interface_index, packet_number=segment.seq, size=size,
             )
         self.host.send(Datagram(segment, size), self.interface_index)
 

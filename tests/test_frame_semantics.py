@@ -1,16 +1,15 @@
 """Value semantics of the ``__slots__`` frame classes.
 
 The frames used to be frozen dataclasses; the hot-path rewrite turned
-them into ``__slots__`` classes with an object pool for the two
-high-churn types.  The wire round-trip corpora (hypothesis) and the
-reassembly layer compare and hash frames, so these tests pin the
-frozen-dataclass contract the rewrite promised to preserve:
+them into plain ``__slots__`` classes.  The wire round-trip corpora
+(hypothesis) and the reassembly layer compare and hash frames, so these
+tests pin the frozen-dataclass contract the rewrite promised to
+preserve:
 
 * equality is by-value over the declared fields, never identity;
 * instances of different frame classes never compare equal;
 * equal frames hash equal (dict/set membership keeps working);
-* ``repr`` shows every declared field, round-trip-eval style;
-* pooling cannot resurrect or alias a frame that is still observable.
+* ``repr`` shows every declared field, round-trip-eval style.
 """
 
 from __future__ import annotations
@@ -126,66 +125,3 @@ class TestValueSemantics:
         a.offset = 1
         assert a != b
 
-
-class TestPoolSafety:
-    def test_release_recycles_and_acquire_reuses(self):
-        frame = StreamFrame.acquire(8, 0, b"payload")
-        frame.retain()
-        frame.release()
-        reused = StreamFrame.acquire(12, 50, b"other")
-        assert reused is frame  # LIFO free list
-        assert reused.stream_id == 12
-        assert reused.offset == 50
-        assert reused.data == b"other"
-        # Drain what this test parked so later tests see a clean pool.
-        reused.retain()
-        reused.release()
-        StreamFrame._free.clear()
-
-    def test_release_without_retain_is_a_no_op(self):
-        # Frames built directly by tests (or by the wire decoder for
-        # externally held corpora) are never pooled by an unbalanced
-        # release: use-after-recycle is the bug class this prevents.
-        frame = StreamFrame(4, 0, b"external")
-        frame.release()
-        assert frame.pool_refs == 0
-        assert StreamFrame.acquire(5, 1, b"new") is not frame
-        StreamFrame._free.clear()
-
-    def test_outstanding_observer_blocks_recycling(self):
-        frame = AckFrame.acquire(0, 7, 0.0, ((6, 8),))
-        frame.retain()  # recovery registration
-        frame.retain()  # in-flight datagram
-        frame.release()
-        # One observer left: the frame must not be on the free list.
-        assert AckFrame.acquire(0, 9, 0.0, ((8, 10),)) is not frame
-        assert frame.ranges == ((6, 8),)  # payload untouched
-        frame.release()
-        AckFrame._free.clear()
-
-    def test_recycle_drops_payload_references(self):
-        frame = StreamFrame.acquire(4, 0, b"big payload")
-        frame.retain()
-        frame.release()
-        assert frame.data == b""  # parked frames hold no byte buffers
-        StreamFrame._free.clear()
-
-    def test_pooled_frames_keep_value_semantics(self):
-        # A recycled-and-reinitialized frame is indistinguishable from
-        # a freshly constructed one.
-        frame = StreamFrame.acquire(4, 0, b"first")
-        frame.retain()
-        frame.release()
-        reused = StreamFrame.acquire(4, 100, b"abc", fin=True)
-        assert reused == StreamFrame(4, 100, b"abc", fin=True)
-        assert hash(reused) == hash(StreamFrame(4, 100, b"abc", fin=True))
-        reused.retain()
-        reused.release()
-        StreamFrame._free.clear()
-
-    def test_unpooled_frames_pooling_is_noop(self):
-        frame = WindowUpdateFrame(0, 1024)
-        assert not frame.poolable
-        frame.retain()
-        frame.release()  # no refcount, no free list, no error
-        assert frame == WindowUpdateFrame(0, 1024)

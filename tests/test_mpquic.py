@@ -11,7 +11,7 @@ from repro.core.scheduler import (
 )
 from repro.netsim.engine import Simulator
 from repro.netsim.topology import PathConfig, TwoPathTopology
-from repro.netsim.trace import PacketTrace
+from repro.obs import Tracer
 from repro.quic.config import QuicConfig
 from repro.quic.connection import PathState
 
@@ -119,7 +119,7 @@ class TestPathManagement:
 
     def test_data_in_first_packet_of_new_path(self):
         """MPQUIC can use a new path without any handshake on it."""
-        trace = PacketTrace()
+        trace = Tracer()
         sim, topo, client, server = make_pair(trace=trace)
         done = {}
         state = {}
@@ -137,8 +137,8 @@ class TestPathManagement:
         client.connect()
         sim.run_until(lambda: "t" in done, timeout=30.0)
         # Packet number 0 on server path 1 carried stream data.
-        sends = trace.filter(event="send", host="server", path_id=1)
-        assert sends and sends[0].packet_number == 0
+        sends = trace.events_of(name="packet_sent", host="server", path_id=1)
+        assert sends and sends[0].data["packet_number"] == 0
 
     def test_initial_path_interface_choice(self):
         sim, topo, client, server = make_pair(HETEROGENEOUS_PATHS)
@@ -189,7 +189,7 @@ class TestAggregation:
 
 class TestDuplication:
     def test_duplicates_sent_while_rtt_unknown(self):
-        trace = PacketTrace()
+        trace = Tracer()
         cfg = QuicConfig(duplicate_on_unknown_rtt=True)
         sim, topo, client, server = make_pair(trace=trace, config=cfg)
         state = {}
@@ -205,10 +205,10 @@ class TestDuplication:
         )
         client.connect()
         sim.run(until=5.0)
-        assert trace.filter(event="dup")
+        assert trace.events_of(name="duplicated")
 
     def test_no_duplicates_when_disabled(self):
-        trace = PacketTrace()
+        trace = Tracer()
         cfg = QuicConfig(duplicate_on_unknown_rtt=False)
         sim, topo, client, server = make_pair(trace=trace, config=cfg)
         state = {}
@@ -224,7 +224,7 @@ class TestDuplication:
         )
         client.connect()
         sim.run(until=5.0)
-        assert not trace.filter(event="dup")
+        assert not trace.events_of(name="duplicated")
 
     def test_duplicated_data_not_retransmitted_spuriously(self):
         # Duplicates whose twin was acked must not requeue on loss.

@@ -1,9 +1,8 @@
 """Unit tests for the structured telemetry layer (`repro.obs.events`).
 
-Covers: the typed event model, legacy ``PacketTrace`` compatibility,
-event-emission ordering through a real connection, time-series
-sampling/throttling, the scheduler hook, and the extended
-``PacketTrace.filter`` time window.
+Covers: the typed event model, event-emission ordering through a real
+connection, time-series sampling/throttling, the layer hooks, and the
+``events_of`` filters including the time window.
 """
 
 
@@ -12,17 +11,15 @@ from repro.core.connection import MultipathQuicConnection
 from repro.core.scheduler import LowestRttScheduler
 from repro.netsim.engine import Simulator
 from repro.netsim.topology import PathConfig, TwoPathTopology
-from repro.netsim.trace import PacketTrace
 from repro.obs import Tracer
 from repro.quic.config import QuicConfig
 from repro.quic.rtt import RttEstimator
 
 
-def traced_transfer(paths, size=300_000, config=None, seed=1, until=30.0,
-                    tracer=None):
+def traced_transfer(paths, size=300_000, config=None, seed=1, until=30.0):
     sim = Simulator()
     topo = TwoPathTopology(sim, paths, seed=seed)
-    trace = tracer if tracer is not None else Tracer()
+    trace = Tracer()
     client = MultipathQuicConnection(
         sim, topo.client, "client", config or QuicConfig(), trace
     )
@@ -52,34 +49,13 @@ TWO_PATHS = [PathConfig(10, 30, 60), PathConfig(10, 30, 60)]
 
 
 class TestTracerBasics:
-    def test_legacy_log_is_mirrored_as_typed_event(self):
-        tr = Tracer()
-        tr.log(1.0, "client", "send", path_id=1, packet_number=7, size=100)
-        assert len(tr.records) == 1  # PacketTrace API intact
-        assert len(tr.events) == 1
-        ev = tr.events[0]
-        assert ev.type == "transport:packet_sent"
-        assert ev.path_id == 1
-        assert ev.data["packet_number"] == 7
-        assert ev.data["size"] == 100
-
-    def test_unknown_legacy_event_maps_to_transport_category(self):
-        tr = Tracer()
-        tr.log(0.5, "h", "weird_event")
-        assert tr.events[0].category == "transport"
-        assert tr.events[0].name == "weird_event"
-
     def test_disabled_tracer_records_nothing(self):
         tr = Tracer(enabled=False)
-        tr.log(1.0, "h", "send")
         tr.emit(1.0, "h", "cc", "state_changed", 0)
         tr.sample(1.0, "h", 0, "cwnd", 100.0)
         tr.sched_decision(1.0, "h", 0)
-        assert not tr.records and not tr.events
+        assert not tr.events
         assert not tr.series and not tr.scheduler_decisions
-
-    def test_tracer_is_a_packet_trace(self):
-        assert isinstance(Tracer(), PacketTrace)
 
     def test_sample_throttling(self):
         tr = Tracer(sample_interval=1.0)
@@ -98,17 +74,15 @@ class TestTracerBasics:
         assert len(tr.events_of(path_id=1)) == 2
         assert len(tr.events_of(t_min=0.15, t_max=0.25)) == 1
 
-
-class TestPacketTraceTimeWindow:
-    def test_filter_accepts_time_window(self):
-        trace = PacketTrace()
+    def test_events_of_time_window(self):
+        tr = Tracer()
         for t in (0.1, 0.5, 1.0, 1.5):
-            trace.log(t, "h", "send", path_id=0, packet_number=int(t * 10))
-        window = trace.filter(event="send", t_min=0.5, t_max=1.0)
-        assert [r.time for r in window] == [0.5, 1.0]
-        assert trace.filter(t_min=1.6) == []
+            tr.emit(t, "h", "transport", "packet_sent", 0, packet_number=int(t * 10))
+        window = tr.events_of(name="packet_sent", t_min=0.5, t_max=1.0)
+        assert [ev.time for ev in window] == [0.5, 1.0]
+        assert tr.events_of(t_min=1.6) == []
         # Bounds are inclusive and composable with other criteria.
-        assert len(trace.filter(host="h", t_max=0.1)) == 1
+        assert len(tr.events_of(host="h", t_max=0.1)) == 1
 
 
 class TestLayerHooks:
@@ -129,8 +103,6 @@ class TestLayerHooks:
 
     def test_scheduler_choose_reports_selection(self):
         sched = LowestRttScheduler()
-        picked = []
-        sched.telemetry = picked.append
 
         class FakePath:
             def __init__(self, pid, rtt):
@@ -143,9 +115,7 @@ class TestLayerHooks:
 
         a, b = FakePath(0, 0.05), FakePath(1, 0.02)
         assert sched.choose([a, b]) is b
-        assert picked == [b]
         assert sched.choose([]) is None
-        assert picked == [b]  # no notification for a None decision
 
 
 class TestConnectionEventStream:
@@ -168,12 +138,6 @@ class TestConnectionEventStream:
                     "transport", "packet_sent", host, path_id
                 )
                 assert sends and sends[0].time >= new[0].time
-
-    def test_send_events_match_legacy_records(self):
-        trace, *_ = traced_transfer(TWO_PATHS)
-        legacy = trace.filter(event="send")
-        typed = trace.events_of("transport", "packet_sent")
-        assert len(legacy) == len(typed) > 100
 
     def test_cwnd_and_srtt_series_sampled_per_path(self):
         trace, client, server, _ = traced_transfer(TWO_PATHS)
@@ -222,9 +186,3 @@ class TestConnectionEventStream:
         retrans = trace.events_of("recovery", "retransmit", "server")
         assert retrans
         assert all(ev.data["bytes"] > 0 for ev in retrans)
-
-    def test_plain_packet_trace_still_works_without_obs(self):
-        """A legacy PacketTrace sees the tuple stream, nothing breaks."""
-        trace, *_ = traced_transfer(TWO_PATHS, tracer=PacketTrace())
-        assert len(trace.filter(event="send")) > 100
-        assert not hasattr(trace, "events")

@@ -1,13 +1,18 @@
 """Integration tests: traced experiment runs, the §4.3 handover
-timeline, extended connection statistics, and the run_bulk median fix."""
+timeline, extended connection statistics, the run_bulk median fix and
+the pinned per-protocol event stream."""
+
+import hashlib
 
 import pytest
 
 import repro.experiments.runner as runner_mod
 from repro.experiments.runner import run_bulk, run_handover
 from repro.experiments.scenarios import HANDOVER_SCENARIO
+from repro.netsim.faults import link_down, link_up, loss_change, timeline
 from repro.netsim.topology import PathConfig
 from repro.obs import Tracer, summarize, to_qlog
+from repro.quic.config import QuicConfig
 from tests.test_obs_events import TWO_PATHS, traced_transfer
 
 
@@ -64,7 +69,7 @@ class TestTracedBulkRun:
 
     @pytest.mark.parametrize("protocol", ["tcp", "mptcp", "quic"])
     def test_other_protocols_feed_the_typed_stream(self, protocol):
-        """Legacy TCP/MPTCP/QUIC call sites reach the Tracer unchanged."""
+        """The TCP/MPTCP/QUIC emit sites reach the Tracer too."""
         res = run_bulk(protocol, TWO_PATHS, 100_000, collect_trace=True)
         assert res.completed
         sends = res.trace.events_of("transport", "packet_sent")
@@ -199,3 +204,73 @@ class TestMedianSkewFix:
         assert res.transfer_time == 10.0
         assert res.completed is True
         assert res.failed_repetitions == 0
+
+
+LOSSY_PATHS = [
+    PathConfig(10, 30, 60, loss_percent=2.0),
+    PathConfig(5, 60, 60, loss_percent=2.0),
+]
+
+#: protocol -> (run_bulk arguments, event count, SHA-256 of the stream).
+#: Counts and digests were generated at the commit *before* the stacks
+#: moved from the tuple-based ``trace.log`` to typed ``emit``, so a match
+#: proves the migration event for event.  Between them the four cases
+#: reach every migrated site: send/recv/rto/tail_loss_probe, QUIC
+#: migrated/rebind, MPQUIC duplicated, and the TCP flow's three.
+PINNED_STREAMS = {
+    "tcp": (
+        dict(
+            paths=[PathConfig(10, 30, 60, loss_percent=6.0), PathConfig(10, 30, 60)],
+            file_size=150_000, base_seed=7,
+        ),
+        397,
+        "158926c9238ff3c6593ed25afe7bca82ebde812238d9c414e637e8854ebbfdb5",
+    ),
+    "mptcp": (
+        dict(
+            paths=LOSSY_PATHS, file_size=300_000, base_seed=4,
+            timeline=timeline(link_down(0.2, 0), link_up(1.5, 0)),
+        ),
+        899,
+        "201e131c691a401ef00fee371ebe6e1019eac7ac4a46b845558dc7815afce86f",
+    ),
+    "quic": (
+        dict(
+            paths=TWO_PATHS, file_size=300_000,
+            quic_config=QuicConfig(migrate_on_failure=True),
+            timeline=timeline(loss_change(0.25, 0, 100.0)),
+        ),
+        1500,
+        "804db611a569373cd38fc72e700264b9cb4d5627ab28b24dbcf92c746158085c",
+    ),
+    "mpquic": (
+        dict(
+            paths=LOSSY_PATHS, file_size=300_000, base_seed=4,
+            timeline=timeline(link_down(0.3, 0), link_up(0.9, 0)),
+        ),
+        1396,
+        "682378ee152a87453e18abc9027c41c2a54f60824959ef22b395a8ab9d501a45",
+    ),
+}
+
+
+def stream_digest(trace):
+    """SHA-256 over every event's time, host, category, name, path id
+    and key-sorted payload (keys *and* values), in emission order."""
+    h = hashlib.sha256()
+    for ev in trace.events:
+        h.update(repr((
+            ev.time, ev.host, ev.category, ev.name, ev.path_id,
+            sorted(ev.data.items()),
+        )).encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("protocol", sorted(PINNED_STREAMS))
+def test_event_stream_pinned(protocol):
+    kwargs, count, digest = PINNED_STREAMS[protocol]
+    res = run_bulk(protocol, collect_trace=True, timeout=60.0, **kwargs)
+    assert res.completed
+    assert len(res.trace.events) == count
+    assert stream_digest(res.trace) == digest

@@ -4,7 +4,7 @@ import pytest
 
 from repro.netsim.engine import Simulator
 from repro.netsim.topology import PathConfig, TwoPathTopology
-from repro.netsim.trace import PacketTrace
+from repro.obs import Tracer
 from repro.quic.config import QuicConfig
 from repro.quic.connection import QuicConnection
 
@@ -202,9 +202,9 @@ class TestQuicSinglePathUsesOnePath:
 
 class TestTrace:
     def test_trace_records_send_and_recv(self):
-        trace = PacketTrace()
+        trace = Tracer()
         sim, topo, client, server = make_pair(trace=trace)
         client.connect()
         sim.run(until=1.0)
-        assert trace.filter(event="send", host="client")
-        assert trace.filter(event="recv", host="server")
+        assert trace.events_of(name="packet_sent", host="client")
+        assert trace.events_of(name="packet_received", host="server")

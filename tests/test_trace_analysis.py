@@ -1,81 +1,55 @@
 """Trace-driven behavioural tests: assert on *how* protocols behaved,
-not just the outcome, using the packet trace."""
+not just the outcome, using the typed event trace."""
 
 
 from repro.core.connection import MultipathQuicConnection
 from repro.netsim.engine import Simulator
 from repro.netsim.topology import PathConfig, TwoPathTopology
-from repro.netsim.trace import PacketTrace
+from repro.obs import Tracer
 from repro.quic.config import QuicConfig
 from repro.quic.connection import PathLiveness
 
-
-def traced_transfer(paths, size=500_000, config=None, seed=1, until=30.0):
-    sim = Simulator()
-    topo = TwoPathTopology(sim, paths, seed=seed)
-    trace = PacketTrace()
-    client = MultipathQuicConnection(
-        sim, topo.client, "client", config or QuicConfig(), trace
-    )
-    server = MultipathQuicConnection(
-        sim, topo.server, "server", config or QuicConfig(), trace
-    )
-    state, done = {}, {}
-
-    def osd(sid, data, fin):
-        if sid not in state:
-            state[sid] = True
-            server.send_stream_data(sid, b"t" * size, fin=True)
-
-    server.on_stream_data = osd
-    client.on_stream_data = (
-        lambda sid, d, fin: done.update(t=sim.now) if fin else None
-    )
-    client.on_established = lambda: client.send_stream_data(
-        client.open_stream(), b"GET", fin=True
-    )
-    client.connect()
-    sim.run_until(lambda: "t" in done, timeout=until)
-    return trace, client, server, done
+from tests.test_obs_events import traced_transfer
 
 
 class TestTraceAnalysis:
     def test_packet_numbers_monotonic_per_path(self):
         trace, client, server, done = traced_transfer(
-            [PathConfig(10, 30, 60), PathConfig(10, 30, 60)]
+            [PathConfig(10, 30, 60), PathConfig(10, 30, 60)], size=500_000
         )
         for host in ("client", "server"):
             for path_id in (0, 1):
                 pns = [
-                    r.packet_number
-                    for r in trace.filter(event="send", host=host, path_id=path_id)
+                    ev.data["packet_number"]
+                    for ev in trace.events_of(
+                        name="packet_sent", host=host, path_id=path_id
+                    )
                 ]
                 assert pns == sorted(pns)
                 assert len(pns) == len(set(pns))  # never reused (nonce rule)
 
     def test_both_paths_carry_traffic(self):
         trace, *_ = traced_transfer(
-            [PathConfig(10, 30, 60), PathConfig(10, 30, 60)]
+            [PathConfig(10, 30, 60), PathConfig(10, 30, 60)], size=500_000
         )
-        sends_p0 = trace.filter(event="send", host="server", path_id=0)
-        sends_p1 = trace.filter(event="send", host="server", path_id=1)
+        sends_p0 = trace.events_of(name="packet_sent", host="server", path_id=0)
+        sends_p1 = trace.events_of(name="packet_sent", host="server", path_id=1)
         assert len(sends_p0) > 50 and len(sends_p1) > 50
 
     def test_no_sends_after_completion_settles(self):
         trace, client, server, done = traced_transfer(
-            [PathConfig(10, 30, 60), PathConfig(10, 30, 60)]
+            [PathConfig(10, 30, 60), PathConfig(10, 30, 60)], size=500_000
         )
         finish = done["t"]
         # After the final ACKs drain (a couple of RTTs), silence.
-        late = [r for r in trace if r.event == "send" and r.time > finish + 0.5]
-        assert late == []
+        assert trace.events_of(name="packet_sent", t_min=finish + 0.5) == []
 
     def test_tlp_events_appear_on_dead_path(self):
         sim = Simulator()
         topo = TwoPathTopology(
             sim, [PathConfig(10, 30, 60), PathConfig(10, 30, 60)], seed=1
         )
-        trace = PacketTrace()
+        trace = Tracer()
         client = MultipathQuicConnection(sim, topo.client, "client", QuicConfig(), trace)
         server = MultipathQuicConnection(sim, topo.server, "server", QuicConfig(), trace)
         state = {}
@@ -98,6 +72,6 @@ class TestTraceAnalysis:
         # then either its own RTO or the peer's PATHS warning marked the
         # path potentially failed and reinjected the in-flight window
         # onto the surviving path — no per-packet RTO wait.
-        assert trace.filter(event="tlp", host="server", path_id=0)
+        assert trace.events_of(name="tail_loss_probe", host="server", path_id=0)
         assert server.paths[0].liveness is not PathLiveness.ACTIVE
         assert server.stats.reinjected_bytes > 0
